@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
+from .mixers import MIXERS
 from .model import EMBED_SPECS, Model, ModelConfig, stage_grids
 from .tensor import InvalidArgument
 
@@ -105,18 +106,9 @@ def _norm_param_count(norm: str, channels: int) -> int:
 def _block_param_counts(cfg: ModelConfig, stage: int, n_tokens: int) -> tuple:
     """(trainable, layer_scale, frozen) parameter counts of one block in ``stage``."""
     c = cfg.dims[stage]
-    kind = cfg.mixers[stage].kind
-    trainable = _norm_param_count(cfg.norm, c)
-    frozen = 0
-    if kind == "depthwise_conv":
-        k = cfg.mixers[stage].kernel
-        trainable += c * k * k + c
-    elif kind == "attention":
-        trainable += 4 * c * c + 4 * c
-    elif kind == "spatial_fc":
-        trainable += n_tokens * n_tokens + n_tokens
-    elif kind == "random_matrix":
-        frozen += n_tokens * n_tokens
+    mixer = cfg.mixers[stage]
+    trainable, frozen = MIXERS[mixer.kind].params(mixer, c, n_tokens)
+    trainable += _norm_param_count(cfg.norm, c)
     layer_scale = 0
     if cfg.use_channel_mlp:
         trainable += _norm_param_count(cfg.norm, c)
@@ -130,20 +122,8 @@ def _block_mac_counts(cfg: ModelConfig, stage: int, grid: int) -> tuple:
     """(macs, pool_macs, attn_matmul_macs) of one block at a ``grid``^2 token grid."""
     c = cfg.dims[stage]
     n = grid * grid
-    kind = cfg.mixers[stage].kind
-    macs = pool = attn = 0
-    if kind == "pooling":
-        k = cfg.mixers[stage].pool_size
-        pool = k * k * c * n
-        macs += pool
-    elif kind == "depthwise_conv":
-        k = cfg.mixers[stage].kernel
-        macs += c * k * k * n
-    elif kind == "attention":
-        attn = 2 * n * n * c
-        macs += 4 * c * c * n + attn
-    elif kind in ("random_matrix", "spatial_fc"):
-        macs += n * n * c
+    mixer = cfg.mixers[stage]
+    macs, pool, attn = MIXERS[mixer.kind].macs(mixer, c, n)
     if cfg.use_channel_mlp:
         macs += 8 * c * c * n
     return macs, pool, attn

@@ -13,12 +13,13 @@ sub-block entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .init import trunc_normal
 from .mixers import MixerConfig, make_mixer
+from .module import Module
 from .norms import make_norm
 from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d
 
@@ -48,7 +49,7 @@ class BlockConfig:
             raise InvalidArgument(f"{path}.layer_scale_init: must be > 0 when enabled, got {self.layer_scale_init}")
 
 
-class ChannelMlp:
+class ChannelMlp(Module):
     """Two 1x1 convolutions with a nonlinearity between them, hidden width 4C."""
 
     def __init__(self, channels: int, activation: str, rng: np.random.Generator, dtype="f32"):
@@ -63,12 +64,6 @@ class ChannelMlp:
         act = ACTIVATIONS[self.activation]
         h = act(conv2d(x, self.fc1_weight, self.fc1_bias))
         return conv2d(h, self.fc2_weight, self.fc2_bias)
-
-    def named_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        yield f"{prefix}.fc1.weight", self.fc1_weight
-        yield f"{prefix}.fc1.bias", self.fc1_bias
-        yield f"{prefix}.fc2.weight", self.fc2_weight
-        yield f"{prefix}.fc2.bias", self.fc2_bias
 
 
 def drop_path(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]) -> Tensor:
@@ -89,7 +84,7 @@ def drop_path(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]
     return x * Tensor(mask)
 
 
-class MetaFormerBlock:
+class MetaFormerBlock(Module):
     def __init__(
         self,
         channels: int,
@@ -101,17 +96,14 @@ class MetaFormerBlock:
         config.validate()
         self.channels = channels
         self.config = config
+        mlp, ls, init = config.use_channel_mlp, config.use_layer_scale, config.layer_scale_init
+        # Assignment order is checkpoint order (see Module).
         self.norm1 = make_norm(config.norm, channels, dtype=dtype)
         self.mixer = make_mixer(config.mixer, channels, n_tokens, rng, dtype=dtype)
-        self.norm2 = make_norm(config.norm, channels, dtype=dtype) if config.use_channel_mlp else None
-        self.mlp = ChannelMlp(channels, config.activation, rng, dtype=dtype) if config.use_channel_mlp else None
-        if config.use_layer_scale:
-            init = config.layer_scale_init
-            self.ls1 = Tensor(np.full(channels, init), requires_grad=True, dtype=dtype)
-            self.ls2 = Tensor(np.full(channels, init), requires_grad=True, dtype=dtype) if config.use_channel_mlp else None
-        else:
-            self.ls1 = None
-            self.ls2 = None
+        self.ls1 = Tensor(np.full(channels, init), requires_grad=True, dtype=dtype) if ls else None
+        self.norm2 = make_norm(config.norm, channels, dtype=dtype) if mlp else None
+        self.mlp = ChannelMlp(channels, config.activation, rng, dtype=dtype) if mlp else None
+        self.ls2 = Tensor(np.full(channels, init), requires_grad=True, dtype=dtype) if ls and mlp else None
 
     def _branch(self, h: Tensor, ls: Optional[Tensor], mode: str, rng) -> Tensor:
         if ls is not None:
@@ -126,22 +118,3 @@ class MetaFormerBlock:
             return y
         branch = self._branch(self.mlp(self.norm2(y, mode)), self.ls2, mode, rng)
         return y + branch if cfg.use_residual else branch
-
-    def named_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        yield from self.norm1.named_parameters(f"{prefix}.norm1")
-        yield from self.mixer.named_parameters(f"{prefix}.mixer")
-        if self.ls1 is not None:
-            yield f"{prefix}.ls1", self.ls1
-        if self.mlp is not None:
-            yield from self.norm2.named_parameters(f"{prefix}.norm2")
-            yield from self.mlp.named_parameters(f"{prefix}.mlp")
-            if self.ls2 is not None:
-                yield f"{prefix}.ls2", self.ls2
-
-    def frozen_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        yield from self.mixer.frozen_parameters(f"{prefix}.mixer")
-
-    def named_buffers(self, prefix: str) -> Iterator[Tuple[str, np.ndarray]]:
-        yield from self.norm1.named_buffers(f"{prefix}.norm1")
-        if self.norm2 is not None:
-            yield from self.norm2.named_buffers(f"{prefix}.norm2")

@@ -22,6 +22,7 @@ payload bytes back bit-exactly; it never runs model math.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Dict, Optional
 
@@ -76,6 +77,22 @@ def _write_container(path: str, entries: Dict[str, tuple], config: Optional[dict
         raise OSError(f"cannot write container to {path!r}: {e}") from e
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _entry_fields(entry, index: int, path: str) -> tuple:
+    """(name, shape, offset, byte_len) of one manifest entry, each checked for type."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise CheckpointCorruptionError(f"{path!r}: manifest entry {index} is not an object with a string name")
+    name, shape = entry["name"], entry.get("shape")
+    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+        raise CheckpointCorruptionError(f"{path!r}: tensor {name!r} has malformed shape {shape!r}")
+    if not _is_count(entry.get("offset")) or not _is_count(entry.get("byte_len")):
+        raise CheckpointCorruptionError(f"{path!r}: tensor {name!r} lacks a valid offset and byte_len")
+    return name, tuple(shape), entry["offset"], entry["byte_len"]
+
+
 def _read_container(path: str) -> tuple:
     """Returns (manifest dict, {name: f32 array})."""
     try:
@@ -95,22 +112,18 @@ def _read_container(path: str) -> tuple:
         manifest = json.loads(blob[16 : 16 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointCorruptionError(f"{path!r}: manifest is not valid JSON: {e}") from e
-    if not isinstance(manifest, dict) or "tensors" not in manifest:
-        raise CheckpointCorruptionError(f"{path!r}: manifest missing 'tensors'")
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+        raise CheckpointCorruptionError(f"{path!r}: manifest missing a 'tensors' list")
     payload = blob[16 + mlen :]
     arrays: Dict[str, np.ndarray] = {}
     prev_end = 0
-    for entry in manifest["tensors"]:
-        name = entry.get("name", "<unnamed>")
-        shape = tuple(entry["shape"])
-        numel = int(np.prod(shape)) if shape else 1
-        if entry["byte_len"] != numel * _PAYLOAD_DTYPE.itemsize:
-            raise CheckpointCorruptionError(
-                f"{path!r}: tensor {name!r} declares {entry['byte_len']} bytes for shape {shape}"
-            )
-        if entry["offset"] < prev_end:
+    for index, entry in enumerate(manifest["tensors"]):
+        name, shape, start, byte_len = _entry_fields(entry, index, path)
+        if byte_len != math.prod(shape) * _PAYLOAD_DTYPE.itemsize:
+            raise CheckpointCorruptionError(f"{path!r}: tensor {name!r} declares {byte_len} bytes for shape {shape}")
+        if start < prev_end:
             raise CheckpointCorruptionError(f"{path!r}: tensor {name!r} overlaps the previous entry")
-        start, end = entry["offset"], entry["offset"] + entry["byte_len"]
+        end = start + byte_len
         if end > len(payload):
             raise CheckpointCorruptionError(f"{path!r}: payload truncated at tensor {name!r}")
         arrays[name] = np.frombuffer(payload[start:end], dtype=_PAYLOAD_DTYPE).reshape(shape)

@@ -5,17 +5,25 @@ structure never changes. Six strategies are provided: average pooling minus
 identity (parameter-free), plain identity, a frozen row-stochastic random
 matrix over tokens, depthwise convolution, multi-head self-attention, and a
 single spatial fully connected layer shared across channels.
+
+A mixer kind is one class registered in ``MIXERS``. Besides its forward
+pass the class owns everything that depends on the kind: the ``MixerConfig``
+fields it reads (and writes to JSON), their validation, construction from a
+config, whether it binds the model to its build resolution, and its analytic
+parameter and MAC counts.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .init import trunc_normal
+from .module import Module
 from .tensor import (
     InvalidArgument,
     Tensor,
@@ -25,8 +33,6 @@ from .tensor import (
     narrow,
     softmax_lastdim,
 )
-
-MIXER_KINDS = ("pooling", "identity", "random_matrix", "depthwise_conv", "attention", "spatial_fc")
 
 # Head count defaults to C/32 (at least 1); complexity is head-count-invariant.
 HEAD_DIM = 32
@@ -41,28 +47,67 @@ class MixerConfig:
     kernel: int = 3
     heads: Optional[int] = None
 
-    def validate(self, path: str = "mixer") -> None:
+    def validate(self, path: str = "mixer", channels: Optional[int] = None) -> None:
+        """Check the fields this kind reads; with ``channels``, also their fit to that width."""
         if self.kind not in MIXER_KINDS:
             raise InvalidArgument(f"{path}.kind: unknown mixer {self.kind!r}, expected one of {MIXER_KINDS}")
-        if self.kind == "pooling" and (self.pool_size < 1 or self.pool_size % 2 == 0):
-            raise InvalidArgument(f"{path}.pool_size: must be a positive odd integer, got {self.pool_size}")
-        if self.kind == "depthwise_conv" and (self.kernel < 1 or self.kernel % 2 == 0):
-            raise InvalidArgument(f"{path}.kernel: must be a positive odd integer, got {self.kernel}")
-        if self.kind == "attention" and self.heads is not None and self.heads < 1:
-            raise InvalidArgument(f"{path}.heads: must be >= 1, got {self.heads}")
+        for name, check in MIXERS[self.kind].fields.items():
+            check(getattr(self, name), f"{path}.{name}", channels)
 
     def resolution_bound(self) -> bool:
-        return self.kind in ("random_matrix", "spatial_fc")
+        return MIXERS[self.kind].resolution_bound
 
     def to_json_dict(self) -> dict:
         d = {"kind": self.kind}
-        if self.kind == "pooling":
-            d["pool_size"] = self.pool_size
-        elif self.kind == "depthwise_conv":
-            d["kernel"] = self.kernel
-        elif self.kind == "attention" and self.heads is not None:
-            d["heads"] = self.heads
+        for name in MIXERS[self.kind].fields:
+            if getattr(self, name) is not None:
+                d[name] = getattr(self, name)
         return d
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_odd(value, what: str, channels: Optional[int] = None) -> None:
+    if not _is_int(value) or value < 1 or value % 2 == 0:
+        raise InvalidArgument(f"{what}: must be a positive odd integer, got {value!r}")
+
+
+def _check_heads(heads, what: str, channels: Optional[int] = None) -> Optional[int]:
+    """The head count for ``channels`` (default C/32, at least 1), checked to divide it."""
+    if heads is not None and (not _is_int(heads) or heads < 1):
+        raise InvalidArgument(f"{what}: must be a positive integer, got {heads!r}")
+    if channels is None:
+        return heads
+    if heads is None:
+        heads = max(1, channels // HEAD_DIM)
+    if channels % heads != 0:
+        raise InvalidArgument(f"{what}: channel dim {channels} is not divisible by {heads} heads")
+    return heads
+
+
+class Mixer(Module):
+    """Base of the token mixers: the per-kind hooks, with the defaults of a mixer that has no state."""
+
+    kind: str
+    # MixerConfig fields this kind reads (in JSON order), each with its check(value, path, channels).
+    fields: Dict[str, Callable] = {}
+    resolution_bound = False  # bound to the token count of the build-time grid
+
+    @classmethod
+    def build(cls, cfg: MixerConfig, channels: int, n_tokens: int, rng: np.random.Generator, dtype):
+        return cls()
+
+    @staticmethod
+    def params(cfg: MixerConfig, c: int, n: int) -> Tuple[int, int]:
+        """(trainable, frozen) parameter counts at width ``c`` and ``n`` build-time tokens."""
+        return 0, 0
+
+    @staticmethod
+    def macs(cfg: MixerConfig, c: int, n: int) -> Tuple[int, int, int]:
+        """(macs, pool_macs, attn_matmul_macs) at width ``c`` and ``n`` tokens."""
+        return 0, 0, 0
 
 
 def _tokens(x: Tensor) -> Tuple[Tensor, Tuple[int, int, int, int]]:
@@ -76,46 +121,50 @@ def _untokens(t: Tensor, dims: Tuple[int, int, int, int]) -> Tensor:
     return t.swapaxes(1, 2).reshape(B, C, H, W)
 
 
-class PoolingMixer:
+class PoolingMixer(Mixer):
     """Average of each token's neighborhood minus the token itself.
 
     The subtraction cancels the block's own residual connection, so the
     branch contributes pure neighborhood differences. No parameters.
     """
 
+    kind = "pooling"
+    fields = {"pool_size": _check_odd}
+
     def __init__(self, pool_size: int = 3):
-        if pool_size < 1 or pool_size % 2 == 0:
-            raise InvalidArgument(f"pooling mixer: pool size must be a positive odd integer, got {pool_size}")
+        _check_odd(pool_size, "pooling mixer: pool size")
         self.pool_size = pool_size
 
     def __call__(self, x: Tensor) -> Tensor:
         return avg_pool2d_excl(x, self.pool_size) - x
 
-    def named_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        return iter(())
+    @classmethod
+    def build(cls, cfg, channels, n_tokens, rng, dtype):
+        return cls(cfg.pool_size)
 
-    def frozen_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        return iter(())
+    @staticmethod
+    def macs(cfg, c, n):
+        k = cfg.pool_size
+        return k * k * c * n, k * k * c * n, 0
 
 
-class IdentityMixer:
+class IdentityMixer(Mixer):
+    kind = "identity"
+
     def __call__(self, x: Tensor) -> Tensor:
         return x
 
-    def named_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        return iter(())
 
-    def frozen_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        return iter(())
-
-
-class RandomMatrixMixer:
+class RandomMatrixMixer(Mixer):
     """Frozen row-stochastic N x N matrix applied across tokens.
 
     The matrix is drawn uniform [0, 1), row-softmaxed, renormalized so each
     row sums to 1 in f64, then frozen: it is excluded from the optimizer but
     persisted in checkpoints.
     """
+
+    kind = "random_matrix"
+    resolution_bound = True
 
     def __init__(self, n_tokens: int, rng: np.random.Generator, dtype="f32"):
         if n_tokens < 1:
@@ -137,19 +186,27 @@ class RandomMatrixMixer:
         t, dims = _tokens(x)
         return _untokens(matmul(self.weight, t), dims)
 
-    def named_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        return iter(())
+    @classmethod
+    def build(cls, cfg, channels, n_tokens, rng, dtype):
+        return cls(n_tokens, rng, dtype=dtype)
 
-    def frozen_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        yield f"{prefix}.weight", self.weight
+    @staticmethod
+    def params(cfg, c, n):
+        return 0, n * n
+
+    @staticmethod
+    def macs(cfg, c, n):
+        return n * n * c, 0, 0
 
 
-class DepthwiseConvMixer:
+class DepthwiseConvMixer(Mixer):
     """Per-channel k x k convolution, shape preserving."""
 
+    kind = "depthwise_conv"
+    fields = {"kernel": _check_odd}
+
     def __init__(self, channels: int, kernel: int, rng: np.random.Generator, dtype="f32"):
-        if kernel < 1 or kernel % 2 == 0:
-            raise InvalidArgument(f"depthwise mixer: kernel must be a positive odd integer, got {kernel}")
+        _check_odd(kernel, "depthwise mixer: kernel")
         self.channels = channels
         self.kernel = kernel
         self.weight = Tensor(trunc_normal(rng, (channels, 1, kernel, kernel)), requires_grad=True, dtype=dtype)
@@ -159,25 +216,29 @@ class DepthwiseConvMixer:
         p = self.kernel // 2
         return conv2d(x, self.weight, self.bias, stride=(1, 1), padding=(p, p), groups=self.channels)
 
-    def named_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
+    @classmethod
+    def build(cls, cfg, channels, n_tokens, rng, dtype):
+        return cls(channels, cfg.kernel, rng, dtype=dtype)
 
-    def frozen_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        return iter(())
+    @staticmethod
+    def params(cfg, c, n):
+        return c * cfg.kernel * cfg.kernel + c, 0
+
+    @staticmethod
+    def macs(cfg, c, n):
+        return c * cfg.kernel * cfg.kernel * n, 0, 0
 
 
-class AttentionMixer:
+class AttentionMixer(Mixer):
     """Multi-head self-attention over the flattened token grid."""
 
+    kind = "attention"
+    fields = {"heads": _check_heads}
+
     def __init__(self, channels: int, heads: Optional[int], rng: np.random.Generator, dtype="f32"):
-        if heads is None:
-            heads = max(1, channels // HEAD_DIM)
-        if heads < 1 or channels % heads != 0:
-            raise InvalidArgument(f"attention mixer: channels {channels} not divisible by heads {heads}")
         self.channels = channels
-        self.heads = heads
-        self.head_dim = channels // heads
+        self.heads = _check_heads(heads, "attention mixer: heads", channels)
+        self.head_dim = channels // self.heads
         c = channels
         self.qkv_weight = Tensor(trunc_normal(rng, (3 * c, c)), requires_grad=True, dtype=dtype)
         self.qkv_bias = Tensor(np.zeros(3 * c), requires_grad=True, dtype=dtype)
@@ -198,22 +259,29 @@ class AttentionMixer:
         out = matmul(mixed, self.proj_weight.swapaxes(0, 1)) + self.proj_bias.reshape(1, 1, C)
         return _untokens(out, dims)
 
-    def named_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        yield f"{prefix}.qkv.weight", self.qkv_weight
-        yield f"{prefix}.qkv.bias", self.qkv_bias
-        yield f"{prefix}.proj.weight", self.proj_weight
-        yield f"{prefix}.proj.bias", self.proj_bias
+    @classmethod
+    def build(cls, cfg, channels, n_tokens, rng, dtype):
+        return cls(channels, cfg.heads, rng, dtype=dtype)
 
-    def frozen_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        return iter(())
+    @staticmethod
+    def params(cfg, c, n):
+        return 4 * c * c + 4 * c, 0
+
+    @staticmethod
+    def macs(cfg, c, n):
+        attn = 2 * n * n * c
+        return 4 * c * c * n + attn, 0, attn
 
 
 def _split_heads(t: Tensor, B: int, n: int, h: int, d: int) -> Tensor:
     return t.reshape(B, n, h, d).swapaxes(1, 2)
 
 
-class SpatialFCMixer:
+class SpatialFCMixer(Mixer):
     """One fully connected layer across tokens, shared over channels."""
+
+    kind = "spatial_fc"
+    resolution_bound = True
 
     def __init__(self, n_tokens: int, rng: np.random.Generator, dtype="f32"):
         if n_tokens < 1:
@@ -233,12 +301,24 @@ class SpatialFCMixer:
         out = matmul(flat, self.weight.swapaxes(0, 1)) + self.bias.reshape(1, 1, n)
         return out.reshape(B, C, H, W)
 
-    def named_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
+    @classmethod
+    def build(cls, cfg, channels, n_tokens, rng, dtype):
+        return cls(n_tokens, rng, dtype=dtype)
 
-    def frozen_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        return iter(())
+    @staticmethod
+    def params(cfg, c, n):
+        return n * n + n, 0
+
+    @staticmethod
+    def macs(cfg, c, n):
+        return n * n * c, 0, 0
+
+
+MIXERS = {
+    cls.kind: cls
+    for cls in (PoolingMixer, IdentityMixer, RandomMatrixMixer, DepthwiseConvMixer, AttentionMixer, SpatialFCMixer)
+}
+MIXER_KINDS = tuple(MIXERS)
 
 
 def make_mixer(config: MixerConfig, channels: int, n_tokens: int, rng: np.random.Generator, dtype="f32"):
@@ -247,17 +327,5 @@ def make_mixer(config: MixerConfig, channels: int, n_tokens: int, rng: np.random
     ``n_tokens`` binds resolution-dependent mixers (random matrix, spatial FC)
     to the build-time grid; other mixers ignore it.
     """
-    config.validate()
-    if config.kind == "pooling":
-        return PoolingMixer(config.pool_size)
-    if config.kind == "identity":
-        return IdentityMixer()
-    if config.kind == "random_matrix":
-        return RandomMatrixMixer(n_tokens, rng, dtype=dtype)
-    if config.kind == "depthwise_conv":
-        return DepthwiseConvMixer(channels, config.kernel, rng, dtype=dtype)
-    if config.kind == "attention":
-        return AttentionMixer(channels, config.heads, rng, dtype=dtype)
-    if config.kind == "spatial_fc":
-        return SpatialFCMixer(n_tokens, rng, dtype=dtype)
-    raise InvalidArgument(f"unknown mixer kind {config.kind!r}")
+    config.validate(channels=channels)
+    return MIXERS[config.kind].build(config, channels, n_tokens, rng, dtype)

@@ -9,14 +9,15 @@ L blocks distributes them [L/6, L/6, L/2, L/6] across stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .block import BlockConfig, MetaFormerBlock
 from .init import child_rng, trunc_normal
-from .mixers import HEAD_DIM, MIXER_KINDS, MixerConfig
+from .mixers import MIXER_KINDS, MIXERS, MixerConfig
+from .module import Module
 from .norms import NORM_KINDS, make_norm
 from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d, matmul
 
@@ -101,7 +102,7 @@ class ModelConfig:
             raise ConfigError(f"mixers: need one mixer per stage, got {len(self.mixers)}")
         for i, m in enumerate(self.mixers):
             try:
-                m.validate(f"mixers[{i}]")
+                m.validate(f"mixers[{i}]", self.dims[i])
             except InvalidArgument as e:
                 raise ConfigError(str(e)) from e
         if self.norm not in NORM_KINDS:
@@ -119,15 +120,6 @@ class ModelConfig:
         for i, grid in enumerate(stage_grids(self.input_size)):
             if grid < 1:
                 raise ConfigError(f"input_size: {self.input_size} collapses to an empty grid at stage {i + 1}")
-        for i, h in enumerate(self.heads_per_stage()):
-            if self.mixers[i].kind == "attention" and self.dims[i] % h != 0:
-                raise ConfigError(f"mixers[{i}].heads: {h} does not divide channel dim {self.dims[i]}")
-
-    def heads_per_stage(self) -> List[int]:
-        return [
-            m.heads if m.heads is not None else max(1, d // HEAD_DIM)
-            for m, d in zip(self.mixers, self.dims)
-        ]
 
     def resolution_bound(self) -> bool:
         return any(m.resolution_bound() for m in self.mixers)
@@ -161,25 +153,12 @@ class ModelConfig:
 
     # ------------------------------------------------------------------ JSON
     def to_json_dict(self) -> dict:
-        if self.variant is not None:
+        if self.variant in _VARIANT_TABLE and self == ModelConfig.variant_named(self.variant):
             return {"variant": self.variant}
-        return {
-            "custom": {
-                "dims": list(self.dims),
-                "depths": list(self.depths),
-                "mixers": [m.to_json_dict() for m in self.mixers],
-                "norm": self.norm,
-                "activation": self.activation,
-                "use_residual": self.use_residual,
-                "use_channel_mlp": self.use_channel_mlp,
-                "use_layer_scale": self.use_layer_scale,
-                "layer_scale_init": self.layer_scale_init,
-                "drop_path": self.drop_path,
-                "num_classes": self.num_classes,
-                "in_channels": self.in_channels,
-                "input_size": self.input_size,
-            }
-        }
+        custom = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "variant"}
+        custom["dims"], custom["depths"] = list(self.dims), list(self.depths)
+        custom["mixers"] = [m.to_json_dict() for m in self.mixers]
+        return {"custom": custom}
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ModelConfig":
@@ -191,53 +170,53 @@ class ModelConfig:
         if ("variant" in obj) == ("custom" in obj):
             raise ConfigError("config: exactly one of 'variant' or 'custom' is required")
         if "variant" in obj:
+            if not isinstance(obj["variant"], str):
+                raise ConfigError(f"config.variant: expected a name, got {obj['variant']!r}")
             return ModelConfig.variant_named(obj["variant"])
         custom = obj["custom"]
         if not isinstance(custom, dict):
             raise ConfigError("config.custom: expected an object")
-        allowed = {
-            "dims", "depths", "mixers", "norm", "activation", "use_residual",
-            "use_channel_mlp", "use_layer_scale", "layer_scale_init",
-            "drop_path", "num_classes", "in_channels", "input_size",
-        }
-        unknown = set(custom) - allowed
+        defaults = {f.name: f.default for f in fields(ModelConfig) if f.name != "variant"}
+        unknown = set(custom) - set(defaults)
         if unknown:
             raise ConfigError(f"config.custom: unknown fields {sorted(unknown)}")
-        kwargs: dict = {}
-        if "dims" in custom:
-            kwargs["dims"] = tuple(custom["dims"])
-        if "depths" in custom:
-            kwargs["depths"] = tuple(custom["depths"])
-        if "mixers" in custom:
-            kwargs["mixers"] = tuple(_mixer_from_json(m, i) for i, m in enumerate(custom["mixers"]))
-        for key in ("norm", "activation", "use_residual", "use_channel_mlp", "use_layer_scale",
-                    "layer_scale_init", "drop_path", "num_classes", "in_channels", "input_size"):
-            if key in custom:
-                kwargs[key] = custom[key]
-        cfg = ModelConfig(**kwargs)
+        cfg = ModelConfig(**{
+            key: _json_typed(value, defaults[key], f"config.custom.{key}") for key, value in custom.items()
+        })
         cfg.validate()
         return cfg
 
 
-def _mixer_from_json(obj: dict, index: int) -> MixerConfig:
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _json_typed(value, default, path: str):
+    """``value`` read from JSON, checked to have the JSON type of the field's ``default``."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return tuple(_json_typed(v, default[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if isinstance(default, MixerConfig):
+        return _mixer_from_json(value, path)
+    if not isinstance(value, _JSON_TYPES[type(default)]) or isinstance(value, bool) != isinstance(default, bool):
+        raise ConfigError(f"{path}: expected {type(default).__name__}, got {value!r}")
+    return value
+
+
+def _mixer_from_json(obj, path: str) -> MixerConfig:
+    """A mixer object: its kind plus the fields that kind reads, which its ``validate`` checks."""
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"config.custom.mixers[{index}]: expected an object with a 'kind' field")
+        raise ConfigError(f"{path}: expected an object with a 'kind' field")
     kind = obj["kind"]
     if kind not in MIXER_KINDS:
-        raise ConfigError(f"config.custom.mixers[{index}].kind: unknown mixer {kind!r}")
-    allowed = {"kind", "pool_size", "kernel", "heads"}
-    unknown = set(obj) - allowed
+        raise ConfigError(f"{path}.kind: unknown mixer {kind!r}")
+    unknown = set(obj) - {f.name for f in fields(MixerConfig)}
     if unknown:
-        raise ConfigError(f"config.custom.mixers[{index}]: unknown fields {sorted(unknown)}")
-    return MixerConfig(
-        kind=kind,
-        pool_size=obj.get("pool_size", 3),
-        kernel=obj.get("kernel", 3),
-        heads=obj.get("heads"),
-    )
+        raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
+    return MixerConfig(kind=kind, **{name: obj[name] for name in MIXERS[kind].fields if name in obj})
 
 
-class PatchEmbed:
+class PatchEmbed(Module):
     """Strided convolution downsampling the grid at a stage boundary."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int, stride: int,
@@ -252,12 +231,8 @@ class PatchEmbed:
         return conv2d(x, self.weight, self.bias, stride=(self.stride, self.stride),
                       padding=(self.pad, self.pad))
 
-    def named_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
 
-
-class Model:
+class Model(Module):
     """Built network: 4 embed/stage pairs, final norm, global pool, linear head."""
 
     def __init__(self, config: ModelConfig, seed: int, dtype="f32"):
@@ -266,21 +241,17 @@ class Model:
         self.seed = seed
         rng = child_rng(seed, 0)
         grids = stage_grids(config.input_size)
-        heads = config.heads_per_stage()
         rates = drop_path_schedule(config.drop_path, config.total_blocks())
-        self.embeds: List[PatchEmbed] = []
-        self.stages: List[List[MetaFormerBlock]] = []
         block_index = 0
         in_ch = config.in_channels
         for s in range(4):
             kernel, stride, pad = EMBED_SPECS[s]
-            self.embeds.append(PatchEmbed(in_ch, config.dims[s], kernel, stride, pad, rng, dtype=dtype))
+            embed = PatchEmbed(in_ch, config.dims[s], kernel, stride, pad, rng, dtype=dtype)
             in_ch = config.dims[s]
             blocks = []
             for _ in range(config.depths[s]):
                 bcfg = BlockConfig(
-                    mixer=replace(config.mixers[s], heads=heads[s]) if config.mixers[s].kind == "attention"
-                    else config.mixers[s],
+                    mixer=config.mixers[s],
                     norm=config.norm,
                     activation=config.activation,
                     use_residual=config.use_residual,
@@ -293,7 +264,10 @@ class Model:
                     MetaFormerBlock(config.dims[s], bcfg, rng, n_tokens=grids[s] * grids[s], dtype=dtype)
                 )
                 block_index += 1
-            self.stages.append(blocks)
+            # Attributes embed1, stage1, embed2, ... so that the state walk
+            # interleaves each embedding with the blocks of its stage.
+            setattr(self, f"embed{s + 1}", embed)
+            setattr(self, f"stage{s + 1}", blocks)
         self.final_norm = make_norm(config.norm, config.dims[3], dtype=dtype)
         self.head_weight = Tensor(
             trunc_normal(rng, (config.num_classes, config.dims[3])), requires_grad=True, dtype=dtype
@@ -314,11 +288,11 @@ class Model:
                 f"forward: model is bound to {self.config.input_size}x{self.config.input_size} input "
                 f"(resolution-dependent mixers), got {H}x{W}"
             )
-        for s in range(4):
-            x = self.embeds[s](x)
+        for s, (embed, blocks) in enumerate(zip(self.embeds, self.stages)):
+            x = embed(x)
             if x.shape[2] < 1 or x.shape[3] < 1:
                 raise InvalidArgument(f"forward: stage {s + 1} grid is empty for this input size")
-            for blk in self.stages[s]:
+            for blk in blocks:
                 x = blk(x, mode, rng)
         x = self.final_norm(x, mode)
         pooled = x.mean(axis=(2, 3))
@@ -326,27 +300,13 @@ class Model:
 
     __call__ = forward
 
-    # -------------------------------------------------------------- registry
-    def named_parameters(self) -> Iterator[Tuple[str, Tensor]]:
-        """Optimizer-visible parameters in deterministic order."""
-        for s in range(4):
-            yield from self.embeds[s].named_parameters(f"embed{s + 1}")
-            for b, blk in enumerate(self.stages[s]):
-                yield from blk.named_parameters(f"stage{s + 1}.block{b}")
-        yield from self.final_norm.named_parameters("norm")
-        yield "head.weight", self.head_weight
-        yield "head.bias", self.head_bias
+    @property
+    def embeds(self) -> List[PatchEmbed]:
+        return [getattr(self, f"embed{s + 1}") for s in range(4)]
 
-    def frozen_parameters(self) -> Iterator[Tuple[str, Tensor]]:
-        for s in range(4):
-            for b, blk in enumerate(self.stages[s]):
-                yield from blk.frozen_parameters(f"stage{s + 1}.block{b}")
-
-    def named_buffers(self) -> Iterator[Tuple[str, np.ndarray]]:
-        for s in range(4):
-            for b, blk in enumerate(self.stages[s]):
-                yield from blk.named_buffers(f"stage{s + 1}.block{b}")
-        yield from self.final_norm.named_buffers("norm")
+    @property
+    def stages(self) -> List[List[MetaFormerBlock]]:
+        return [getattr(self, f"stage{s + 1}") for s in range(4)]
 
     def state_arrays(self) -> Dict[str, Tuple[np.ndarray, bool]]:
         """All persistent arrays by name, with their frozen flag (non-trainable)."""

@@ -7,16 +7,13 @@ channel-first [B, C, H, W].
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 import numpy as np
 
+from .module import Module
 from .tensor import InvalidArgument, Tensor, sqrt
 
-NORM_KINDS = ("mln", "ln", "bn", "none")
 
-
-class _AffineNorm:
+class _AffineNorm(Module):
     def __init__(self, channels: int, eps: float = 1e-5, dtype="f32"):
         if eps <= 0:
             raise InvalidArgument(f"norm eps must be positive, got {eps}")
@@ -24,13 +21,6 @@ class _AffineNorm:
         self.eps = eps
         self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(channels), requires_grad=True, dtype=dtype)
-
-    def named_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
-
-    def named_buffers(self, prefix: str) -> Iterator[Tuple[str, np.ndarray]]:
-        return iter(())
 
     def _affine(self, y: Tensor) -> Tensor:
         c = self.channels
@@ -72,10 +62,6 @@ class BatchNorm(_AffineNorm):
         self.running_mean = np.zeros(channels, dtype=np_dtype)
         self.running_var = np.ones(channels, dtype=np_dtype)
 
-    def named_buffers(self, prefix: str) -> Iterator[Tuple[str, np.ndarray]]:
-        yield f"{prefix}.running_mean", self.running_mean
-        yield f"{prefix}.running_var", self.running_var
-
     def __call__(self, x: Tensor, mode: str = "eval") -> Tensor:
         c = self.channels
         if mode == "train":
@@ -99,7 +85,7 @@ class BatchNorm(_AffineNorm):
         return self._affine((x - mu) / denom)
 
 
-class NoNorm:
+class NoNorm(Module):
     """Identity stand-in so 'no normalization' stays a selectable variant."""
 
     def __init__(self, channels: int, dtype="f32"):
@@ -108,20 +94,12 @@ class NoNorm:
     def __call__(self, x: Tensor, mode: str = "eval") -> Tensor:
         return x
 
-    def named_parameters(self, prefix: str) -> Iterator[Tuple[str, Tensor]]:
-        return iter(())
 
-    def named_buffers(self, prefix: str) -> Iterator[Tuple[str, np.ndarray]]:
-        return iter(())
+NORMS = {"mln": ModifiedLayerNorm, "ln": ChannelLayerNorm, "bn": BatchNorm, "none": NoNorm}
+NORM_KINDS = tuple(NORMS)
 
 
 def make_norm(kind: str, channels: int, dtype="f32"):
-    if kind == "mln":
-        return ModifiedLayerNorm(channels, dtype=dtype)
-    if kind == "ln":
-        return ChannelLayerNorm(channels, dtype=dtype)
-    if kind == "bn":
-        return BatchNorm(channels, dtype=dtype)
-    if kind == "none":
-        return NoNorm(channels, dtype=dtype)
-    raise InvalidArgument(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
+    if kind not in NORMS:
+        raise InvalidArgument(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
+    return NORMS[kind](channels, dtype=dtype)

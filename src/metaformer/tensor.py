@@ -174,15 +174,16 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
+def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+    """Graph node for ``data``; ``backward(g)`` runs only if a parent requires grad."""
+    node = Tensor.__new__(Tensor)
+    node.data = data
+    node.grad = None
     needs = any(p.requires_grad for p in parents)
-    out.requires_grad = needs
-    out._parents = tuple(parents) if needs else ()
-    out._backward_fn = backward_fn if needs else None
-    return out
+    node.requires_grad = needs
+    node._parents = tuple(parents) if needs else ()
+    node._backward_fn = backward if needs else None
+    return node
 
 
 def _wrap(x: Union[Tensor, float, int, np.ndarray], dtype: np.dtype) -> Tensor:
@@ -212,71 +213,60 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     b = _wrap(b, a.dtype)
     _check_same_dtype(a, b, "add")
-    out = _make(a.data + b.data, (a, b), None)
 
     def backward(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _wrap(b, a.dtype)
     _check_same_dtype(a, b, "sub")
-    out = _make(a.data - b.data, (a, b), None)
 
     def backward(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(-g, b.shape))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _wrap(b, a.dtype)
     _check_same_dtype(a, b, "mul")
-    out = _make(a.data * b.data, (a, b), None)
 
     def backward(g):
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(a.data * b.data, (a, b), backward)
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _wrap(b, a.dtype)
     _check_same_dtype(a, b, "div")
-    out = _make(a.data / b.data, (a, b), None)
 
     def backward(g):
         _accum(a, _unbroadcast(g / b.data, a.shape))
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(a.data / b.data, (a, b), backward)
 
 
 def sqrt(a: Tensor) -> Tensor:
     root = np.sqrt(a.data)
-    out = _make(root, (a,), None)
 
     def backward(g):
         _accum(a, g * (0.5 / root))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(root, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b, "matmul")
     if a.ndim < 2 or b.ndim < 2:
         raise InvalidArgument(f"matmul: operands must be at least 2-D, got {a.ndim}-D and {b.ndim}-D")
-    out = _make(np.matmul(a.data, b.data), (a, b), None)
 
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -284,8 +274,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(ga, a.shape))
         _accum(b, _unbroadcast(gb, b.shape))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(np.matmul(a.data, b.data), (a, b), backward)
 
 
 # ------------------------------------------------------------------ shape ops
@@ -294,23 +283,18 @@ def reshape(a: Tensor, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     old = a.shape
-    out = _make(a.data.reshape(shape), (a,), None)
 
     def backward(g):
         _accum(a, g.reshape(old))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(a.data.reshape(shape), (a,), backward)
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    out = _make(np.swapaxes(a.data, ax1, ax2).copy(), (a,), None)
-
     def backward(g):
         _accum(a, np.swapaxes(g, ax1, ax2))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(np.swapaxes(a.data, ax1, ax2).copy(), (a,), backward)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -321,26 +305,22 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    out = _make(a.data[index].copy(), (a,), None)
 
     def backward(g):
         full = np.zeros_like(a.data)
         full[index] = g
         _accum(a, full)
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(a.data[index].copy(), (a,), backward)
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), None)
     axes = _norm_axes(axis, a.ndim)
 
     def backward(g):
         _accum(a, _expand_reduced(g, a.shape, axes, keepdims))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -348,13 +328,11 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = 1
     for ax in axes:
         count *= a.shape[ax]
-    out = _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), None)
 
     def backward(g):
         _accum(a, _expand_reduced(g, a.shape, axes, keepdims) / count)
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def _norm_axes(axis, ndim: int) -> tuple:
@@ -375,39 +353,32 @@ def _expand_reduced(g: np.ndarray, shape: tuple, axes: tuple, keepdims: bool) ->
 # ------------------------------------------------------------------ activations
 
 def relu(a: Tensor) -> Tensor:
-    out = _make(np.maximum(a.data, 0.0), (a,), None)
-
     def backward(g):
         _accum(a, g * (a.data > 0))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(np.maximum(a.data, 0.0), (a,), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = a.data
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    out = _make(x * cdf, (a,), None)
 
     def backward(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
         _accum(a, g * (cdf + x * pdf))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(x * cdf, (a,), backward)
 
 
 def silu(a: Tensor) -> Tensor:
     x = a.data
     sig = 1.0 / (1.0 + np.exp(-x))
-    out = _make(x * sig, (a,), None)
 
     def backward(g):
         _accum(a, g * (sig * (1.0 + x * (1.0 - sig))))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(x * sig, (a,), backward)
 
 
 ACTIVATIONS = {"gelu": gelu, "relu": relu, "silu": silu}
@@ -418,27 +389,23 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = _make(y, (a,), None)
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
         _accum(a, y * (g - dot))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(y, (a,), backward)
 
 
 def log_softmax_lastdim(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = _make(shifted - lse, (a,), None)
     soft = np.exp(shifted - lse)
 
     def backward(g):
         _accum(a, g - soft * g.sum(axis=-1, keepdims=True))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(shifted - lse, (a,), backward)
 
 
 # ------------------------------------------------------------------ conv / pool
@@ -499,7 +466,6 @@ def conv2d(
         y = y + bias.data.reshape(1, cout, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _make(y, parents, None)
 
     def backward(g):
         g_g = g.reshape(B, groups, cout // groups, hout, wout)
@@ -517,8 +483,7 @@ def conv2d(
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(y, parents, backward)
 
 
 def avg_pool2d_excl(x: Tensor, k: int) -> Tensor:
@@ -537,7 +502,6 @@ def avg_pool2d_excl(x: Tensor, k: int) -> Tensor:
     win = sliding_window_view(xp, (k, k), axis=(2, 3))
     count = _valid_count(H, W, k, x.dtype)
     y = win.sum(axis=(-2, -1)) / count
-    out = _make(y, (x,), None)
 
     def backward(g):
         gq = g / count
@@ -547,8 +511,7 @@ def avg_pool2d_excl(x: Tensor, k: int) -> Tensor:
                 gp[:, :, i : i + H, j : j + W] += gq
         _accum(x, gp[:, :, p : p + H, p : p + W])
 
-    out._backward_fn = backward if out.requires_grad else None
-    return out
+    return _make(y, (x,), backward)
 
 
 def _valid_count(H: int, W: int, k: int, dtype) -> np.ndarray:

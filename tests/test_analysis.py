@@ -1,9 +1,13 @@
+import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
 from metaformer.analysis import cost_report, count_macs, count_params
+from metaformer.mixers import MIXER_KINDS
 from metaformer.model import ModelConfig, build
+from metaformer.norms import NORM_KINDS
 from metaformer.tensor import InvalidArgument
 
 # Reference tables, in millions / billions at 224^2.
@@ -63,10 +67,13 @@ def test_random_matrix_frozen_param_total():
 
 
 def test_count_params_on_built_model_matches_analytic():
-    for cfg in (TINY, TINY.with_mixers(("pooling", "identity", "attention", "spatial_fc")),
-                TINY.with_mixers(("random_matrix",) * 4)):
+    configs = [TINY.with_mixers(("pooling", "identity", "attention", "spatial_fc"))]
+    for kind, norm, mlp, ls in itertools.product(MIXER_KINDS, NORM_KINDS, (True, False), (True, False)):
+        configs.append(replace(TINY.with_mixers((kind,) * 4, norm=norm), use_channel_mlp=mlp, use_layer_scale=ls))
+    assert len(configs) == 1 + 96
+    for cfg in configs:
         model = build(cfg, seed=0)
-        assert count_params(model) == count_params(cfg)
+        assert count_params(model) == count_params(cfg), cfg
 
 
 def test_count_params_s12_totals():

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from metaformer import cli
 from metaformer.checkpoint import (
     MAGIC,
     CheckpointCorruptionError,
@@ -13,6 +16,7 @@ from metaformer.checkpoint import (
     save,
     save_tensors,
 )
+from metaformer.mixers import MixerConfig
 from metaformer.model import Model, ModelConfig, build
 from metaformer.analysis import count_params
 from metaformer.tensor import Tensor
@@ -165,6 +169,97 @@ def test_shape_mismatch_names_tensor(tmp_path):
     open(path, "wb").write(out)
     with pytest.raises(CheckpointCorruptionError, match="head.bias"):
         load(path)
+
+
+def rewrite_manifest(path, mutate):
+    blob = open(path, "rb").read()
+    (mlen,) = struct.unpack("<Q", blob[8:16])
+    manifest = json.loads(blob[16 : 16 + mlen].decode("utf-8"))
+    mutate(manifest)
+    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    open(path, "wb").write(blob[:8] + struct.pack("<Q", len(mbytes)) + mbytes + blob[16 + mlen :])
+
+
+def _set_entry(index, **fields):
+    return lambda m: m["tensors"][index].update(fields)
+
+
+def _drop_field(key):
+    return lambda m: m["tensors"][0].pop(key)
+
+
+MALFORMED_MANIFESTS = {
+    "missing shape": _drop_field("shape"),
+    "missing offset": _drop_field("offset"),
+    "missing byte_len": _drop_field("byte_len"),
+    "string shape": _set_entry(0, shape="8,3,7,7"),
+    "negative dims": _set_entry(-1, shape=[-2, -2]),  # head.bias: 4 elements, as its byte_len says
+    "float offset": _set_entry(0, offset=0.0),
+    "non-list tensors": lambda m: m.update(tensors={"embed1.weight": 0}),
+    "non-object entry": lambda m: m["tensors"].__setitem__(0, 5),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
+def test_malformed_manifest_raises_corruption_error(case, tmp_path, capsys):
+    path = str(tmp_path / "m.ckpt")
+    save(build(TINY, seed=0), path)
+    rewrite_manifest(path, MALFORMED_MANIFESTS[case])
+    with pytest.raises(CheckpointCorruptionError):
+        load(path)
+    assert cli.main(["infer", "--ckpt", path, "--input", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_variant_overrides_survive_save_and_load(tmp_path):
+    cfg = ModelConfig.variant_named("S12", num_classes=4)
+    path = str(tmp_path / "m.ckpt")
+    save(build(cfg, seed=0), path)
+    restored = load(path)
+    assert replace(restored.config, variant="S12") == cfg
+    assert restored.head_weight.shape == (4, 512)
+
+
+# (name, shape, frozen) of every persisted array, in container order, as the
+# state walk must produce it. Renaming or reordering any tensor changes a
+# checkpoint's bytes and breaks loading of earlier checkpoints.
+STATE_HYBRID_BN = ModelConfig(
+    dims=(8, 16, 32, 64), depths=(1, 1, 1, 1), num_classes=4, input_size=32, norm="bn",
+    mixers=(MixerConfig(kind="attention", heads=2), MixerConfig(kind="depthwise_conv"),
+            MixerConfig(kind="random_matrix"), MixerConfig(kind="spatial_fc")),
+)
+STATE_HYBRID_BN_SHA256 = "4d710e1aa61f8adaa50415305045d3d2bf516fd49c15f4dba1ea6a51be97a78d"
+STATE_POOL_IDENTITY = ModelConfig(
+    dims=(8, 16, 32, 64), depths=(1, 1, 1, 1), num_classes=4, input_size=32,
+    mixers=(MixerConfig(kind="pooling"), MixerConfig(kind="identity"),
+            MixerConfig(kind="pooling"), MixerConfig(kind="identity")),
+    use_channel_mlp=False, use_layer_scale=False,
+)
+STATE_POOL_IDENTITY_LIST = [
+    ["embed1.weight", [8, 3, 7, 7], False], ["embed1.bias", [8], False],
+    ["stage1.block0.norm1.gamma", [8], False], ["stage1.block0.norm1.beta", [8], False],
+    ["embed2.weight", [16, 8, 3, 3], False], ["embed2.bias", [16], False],
+    ["stage2.block0.norm1.gamma", [16], False], ["stage2.block0.norm1.beta", [16], False],
+    ["embed3.weight", [32, 16, 3, 3], False], ["embed3.bias", [32], False],
+    ["stage3.block0.norm1.gamma", [32], False], ["stage3.block0.norm1.beta", [32], False],
+    ["embed4.weight", [64, 32, 3, 3], False], ["embed4.bias", [64], False],
+    ["stage4.block0.norm1.gamma", [64], False], ["stage4.block0.norm1.beta", [64], False],
+    ["norm.gamma", [64], False], ["norm.beta", [64], False],
+    ["head.weight", [4, 64], False], ["head.bias", [4], False],
+]
+
+
+def state_list(cfg):
+    return [[name, list(arr.shape), frozen] for name, (arr, frozen) in build(cfg, seed=0).state_arrays().items()]
+
+
+def test_state_arrays_names_order_and_frozen_flags_are_pinned():
+    hybrid = state_list(STATE_HYBRID_BN)
+    assert len(hybrid) == 79
+    blob = json.dumps(hybrid, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == STATE_HYBRID_BN_SHA256, hybrid
+    assert state_list(STATE_POOL_IDENTITY) == STATE_POOL_IDENTITY_LIST
 
 
 def test_load_never_runs_forward(tmp_path, monkeypatch):

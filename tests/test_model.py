@@ -1,6 +1,10 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from metaformer import cli
 from metaformer.gradcheck import check_parameter_group
 from metaformer.mixers import MixerConfig
 from metaformer.model import (
@@ -204,6 +208,45 @@ def test_config_json_roundtrip_custom():
     assert "custom" in d
     back = ModelConfig.from_json_dict(d)
     assert back == TINY
+
+
+def test_config_json_roundtrip_keeps_variant_overrides():
+    for cfg in (ModelConfig.variant_named("S12", num_classes=4),
+                replace(ModelConfig.variant_named("S12"), drop_path=0.0)):
+        d = cfg.to_json_dict()
+        assert "custom" in d
+        back = ModelConfig.from_json_dict(d)
+        assert replace(back, variant=cfg.variant) == cfg
+
+
+TINY_CUSTOM = {"dims": [8, 16, 32, 64], "depths": [1, 1, 2, 1], "num_classes": 4, "input_size": 32}
+
+MALFORMED_CUSTOM = {
+    "scalar dims": ({"dims": 5}, r"config\.custom\.dims"),
+    "string dims": ({"dims": ["8", "16", "32", "64"]}, r"config\.custom\.dims\[0\]"),
+    "string input_size": ({"input_size": "224"}, r"config\.custom\.input_size"),
+    "null drop_path": ({"drop_path": None}, r"config\.custom\.drop_path"),
+    "int use_residual": ({"use_residual": 1}, r"config\.custom\.use_residual"),
+    "float num_classes": ({"num_classes": 4.0}, r"config\.custom\.num_classes"),
+    "scalar mixers": ({"mixers": 5}, r"config\.custom\.mixers"),
+    "string pool_size": ({"mixers": [{"kind": "pooling", "pool_size": "3"}] * 4}, r"mixers\[0\]\.pool_size"),
+    "bool kernel": ({"mixers": [{"kind": "depthwise_conv", "kernel": True}] * 4}, r"mixers\[0\]\.kernel"),
+    "string heads": ({"mixers": [{"kind": "attention", "heads": "2"}] * 4}, r"mixers\[0\]\.heads"),
+    "indivisible heads": ({"mixers": [{"kind": "attention", "heads": 3}] * 4}, r"mixers\[0\]\.heads.*divisible"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CUSTOM)
+def test_malformed_config_json_names_the_field(case, tmp_path, capsys):
+    override, path = MALFORMED_CUSTOM[case]
+    obj = {"custom": {**TINY_CUSTOM, **override}}
+    with pytest.raises(ConfigError, match=path):
+        ModelConfig.from_json_dict(obj)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(obj))
+    assert cli.main(["describe", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 def test_config_json_rejects_unknown_fields():
