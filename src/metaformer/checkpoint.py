@@ -28,7 +28,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .model import Model, ModelConfig, build
+from .model import ConfigError, Model, ModelConfig, build
 
 MAGIC = b"MFCK"
 VERSION = 1
@@ -141,7 +141,10 @@ def load(path: str) -> Model:
     manifest, arrays = _read_container(path)
     if manifest.get("config") is None:
         raise CheckpointFormatError(f"{path!r}: container has no model config (tensor-only file?)")
-    config = ModelConfig.from_json_dict(manifest["config"])
+    try:
+        config = ModelConfig.from_json_dict(manifest["config"])
+    except ConfigError as e:
+        raise CheckpointCorruptionError(f"{path!r}: embedded model config is malformed: {e}") from e
     model = build(config, seed=0)
     state = model.state_arrays()
     missing = set(state) - set(arrays)

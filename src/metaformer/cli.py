@@ -157,6 +157,11 @@ def cmd_infer(args) -> int:
     image = tensors["input"]
     if image.ndim != 4 or image.shape[0] != 1:
         raise InvalidArgument(f"input tensor must have shape [1, C, H, W], got {list(image.shape)}")
+    bad = np.flatnonzero(~np.isfinite(image))
+    if bad.size:
+        raise InvalidArgument(
+            f"input tensor has {bad.size} non-finite values (first {image.flat[bad[0]]} at flat index {bad[0]})"
+        )
     logits = model.forward(Tensor(np.ascontiguousarray(image, dtype=np.float32)), mode="eval")
     probs = softmax_lastdim(logits).data[0]
     k = min(args.topk, probs.size)

@@ -212,6 +212,17 @@ def test_malformed_manifest_raises_corruption_error(case, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+def test_malformed_embedded_config_raises_corruption_error(tmp_path, capsys):
+    path = str(tmp_path / "m.ckpt")
+    save(build(TINY, seed=0), path)
+    rewrite_manifest(path, lambda m: m.update(config={"custom": {"dims": 5}}))
+    with pytest.raises(CheckpointCorruptionError, match=r"m\.ckpt.*config\.custom\.dims"):
+        load(path)
+    assert cli.main(["infer", "--ckpt", path, "--input", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "config.custom.dims" in err[0], err
+
+
 def test_variant_overrides_survive_save_and_load(tmp_path):
     cfg = ModelConfig.variant_named("S12", num_classes=4)
     path = str(tmp_path / "m.ckpt")

@@ -224,6 +224,20 @@ def test_infer_resolution_mismatch_exits_1(tmp_path, ckpt_and_input, capsys):
     assert run_main(["infer", "--ckpt", ckpt, "--input", bad]) == 1
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_infer_rejects_non_finite_input(tmp_path, ckpt_and_input, capsys, value):
+    ckpt, _ = ckpt_and_input
+    image = np.random.default_rng(0).random((1, 3, 32, 32)).astype(np.float32)
+    image[0, 1, 2, 3] = value
+    bad = str(tmp_path / "bad.mft")
+    save_tensors(bad, {"input": image})
+    assert run_main(["infer", "--ckpt", ckpt, "--input", bad]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0], err
+
+
 def test_infer_missing_file_exits_2(ckpt_and_input):
     ckpt, _ = ckpt_and_input
     assert run_main(["infer", "--ckpt", ckpt, "--input", "/nonexistent.mft"]) == 2

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,8 @@ from hypothesis import strategies as st
 
 from metaformer.gradcheck import check_tensor_gradient
 from metaformer.tensor import (
+    _INV_SQRT2,
+    _erf_f32,
     InvalidArgument,
     Tensor,
     avg_pool2d_excl,
@@ -19,6 +26,10 @@ from metaformer.tensor import (
 )
 
 from oracles import naive_avg_pool_excl, naive_avg_pool_zeropad, naive_conv2d, naive_softmax_rows
+
+
+DTYPE_NP = {"f32": np.float32, "f64": np.float64}
+TOL = {"f32": dict(rtol=1e-5, atol=1e-5), "f64": dict(rtol=1e-12, atol=1e-12)}
 
 
 def rnd(shape, seed=0, dtype="f64"):
@@ -89,6 +100,48 @@ def test_conv2d_linearity():
     np.testing.assert_allclose(combined.data, separate, rtol=1e-6)
 
 
+CONV_1X1_CASES = {
+    # matmul path: 1x1, stride 1, no padding, one group
+    "matmul": dict(),
+    # every other 1x1 shape stays on the general path
+    "strided": dict(stride=(2, 1)),
+    "padded": dict(padding=(1, 0)),
+    "grouped": dict(groups=2),
+}
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("case", sorted(CONV_1X1_CASES))
+def test_conv2d_1x1_matches_naive_oracle(case, with_bias, dtype):
+    kw = CONV_1X1_CASES[case]
+    rng = np.random.default_rng(21)
+    groups = kw.get("groups", 1)
+    x = rng.standard_normal((3, 4, 5, 6)).astype(DTYPE_NP[dtype])
+    w = rng.standard_normal((6, 4 // groups, 1, 1)).astype(DTYPE_NP[dtype])
+    b = rng.standard_normal(6).astype(DTYPE_NP[dtype]) if with_bias else None
+    got = conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), **kw)
+    want = naive_conv2d(x, w, b, **kw)
+    assert got.dtype == x.dtype
+    np.testing.assert_allclose(got.data, want, **TOL[dtype])
+
+
+def test_conv2d_1x1_weight_and_bias_gradients_match_finite_differences():
+    for seed in range(10):
+        rng = np.random.default_rng(300 + seed)
+        x = Tensor(rng.standard_normal((3, 4, 5, 6)), dtype="f64", requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 4, 1, 1)), dtype="f64", requires_grad=True)
+        b = Tensor(rng.standard_normal(6), dtype="f64", requires_grad=True)
+        proj = Tensor(rng.standard_normal((3, 6, 5, 6)), dtype="f64")
+
+        def loss():
+            return (conv2d(x, w, b) * proj).sum()
+
+        for t in (x, w, b):
+            coords = [tuple(rng.integers(0, s) for s in t.shape) for _ in range(8)]
+            assert check_tensor_gradient(loss, t, coords=coords) < 1e-4, f"seed {seed} shape {t.shape}"
+
+
 # ------------------------------------------------------------- avg pooling
 
 def test_avg_pool_constant_input_stays_constant():
@@ -125,6 +178,17 @@ def test_avg_pool_matches_naive_oracle(k, seed):
     np.testing.assert_allclose(got.data, naive_avg_pool_excl(x, k), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("shape", [(2, 3, 7, 6), (1, 2, 2, 3), (1, 1, 1, 1)])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_avg_pool_all_sizes_match_naive_oracle(k, shape, dtype):
+    # Includes windows wider than the whole grid, where every cell averages its full row/column span.
+    x = np.random.default_rng(k).standard_normal(shape).astype(DTYPE_NP[dtype])
+    got = avg_pool2d_excl(Tensor(x), k)
+    assert got.dtype == x.dtype
+    np.testing.assert_allclose(got.data, naive_avg_pool_excl(x, k), **TOL[dtype])
+
+
 def test_avg_pool_interior_equals_zeropad_k2_divisor():
     x = np.random.default_rng(7).standard_normal((1, 2, 8, 8))
     k = 3
@@ -146,6 +210,66 @@ def test_avg_pool_linearity(a, b, seed):
     combined = avg_pool2d_excl(Tensor(a * x + b * y), 3).data
     separate = a * avg_pool2d_excl(Tensor(x), 3).data + b * avg_pool2d_excl(Tensor(y), 3).data
     np.testing.assert_allclose(combined, separate, rtol=1e-6, atol=1e-9)
+
+
+# ------------------------------------------------------------------- gelu
+
+def _ulp_distance(a, b):
+    # Same-sign float32 values: ulps are the distance between their bit patterns.
+    return np.abs(a.view(np.int32).astype(np.int64) - b.view(np.int32).astype(np.int64))
+
+
+def test_f32_erf_within_8_ulp_of_rounded_f64_erf():
+    from scipy.special import erf
+
+    dense = np.linspace(-8, 8, 2_000_001, dtype=np.float32)
+    tails = np.logspace(-30, 30, 20_001).astype(np.float32)
+    x = np.concatenate([dense, tails, -tails])
+    x = x[np.abs(x) >= 1e-30]
+    want = erf(x.astype(np.float64)).astype(np.float32)
+    got = _erf_f32(x)
+    assert got.dtype == np.float32
+    assert _ulp_distance(got, want).max() <= 8
+
+
+def test_f32_erf_special_values():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+    got = _erf_f32(x)
+    assert got[0] == 0 and not np.signbit(got[0])
+    assert got[1] == 0 and np.signbit(got[1])
+    assert got[2] == 1.0 and got[3] == -1.0
+    assert np.isnan(got[4])
+    # Odd symmetry holds bit for bit.
+    y = np.random.default_rng(3).standard_normal(1000).astype(np.float32) * 3
+    np.testing.assert_array_equal(_erf_f32(-y), -_erf_f32(y))
+
+
+def test_f64_gelu_matches_scipy_bit_for_bit():
+    from scipy.special import erf
+
+    x = np.random.default_rng(4).standard_normal((2, 3, 9, 9)) * 4
+    want = x * (0.5 * (1.0 + erf(x * _INV_SQRT2)))
+    np.testing.assert_array_equal(gelu(Tensor(x, dtype="f64")).data, want)
+
+
+def test_f32_gelu_error_is_bounded_by_the_erf_error():
+    # An 8-ulp erf error (ulp <= 2**-24 below 1) moves 0.5 * x * (1 + erf) by at most 2**-22 * |x|;
+    # the bound doubles that to cover rounding x / sqrt(2) and 1 + erf, plus the product's rounding.
+    x = np.random.default_rng(5).standard_normal((2, 3, 9, 9)).astype(np.float32) * 4
+    got = gelu(Tensor(x))
+    assert got.dtype == np.float32
+    want = gelu(Tensor(x.astype(np.float64))).data
+    bound = 4 * 2.0**-23 * np.abs(x) + 2.0**-24 * np.abs(want)
+    assert np.all(np.abs(got.data - want) <= bound)
+
+
+def test_import_does_not_load_scipy_special():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, metaformer, metaformer.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- softmax
@@ -242,7 +366,9 @@ def test_backward_composite_matches_finite_differences():
 OPS_UNDER_GRADCHECK = {
     "conv2d": lambda x, aux: conv2d(x, aux["w"], aux["b"], stride=(2, 1), padding=(1, 1)),
     "conv2d_grouped": lambda x, aux: conv2d(x, aux["wg"], None, padding=(1, 1), groups=2),
+    "conv2d_1x1": lambda x, aux: conv2d(x, aux["w1"], aux["b"]),
     "avg_pool": lambda x, aux: avg_pool2d_excl(x, 3),
+    "avg_pool_k5": lambda x, aux: avg_pool2d_excl(x, 5),
     "softmax": lambda x, aux: softmax_lastdim(x.reshape(2, 4, 36)),
     "log_softmax": lambda x, aux: log_softmax_lastdim(x.reshape(2, 4, 36)),
     "gelu": lambda x, aux: gelu(x),
@@ -261,6 +387,7 @@ def _aux(rng):
         "w": Tensor(0.5 * rng.standard_normal((5, 4, 3, 3)), dtype="f64", requires_grad=True),
         "b": Tensor(rng.standard_normal(5), dtype="f64", requires_grad=True),
         "wg": Tensor(0.5 * rng.standard_normal((4, 2, 3, 3)), dtype="f64", requires_grad=True),
+        "w1": Tensor(rng.standard_normal((5, 4, 1, 1)), dtype="f64", requires_grad=True),
         "m": Tensor(rng.standard_normal((6, 5)), dtype="f64", requires_grad=True),
         "p": Tensor(rng.standard_normal((2, 6, 6, 4)), dtype="f64"),
     }
