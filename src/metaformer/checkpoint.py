@@ -28,7 +28,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .analysis import count_params
 from .model import ConfigError, Model, ModelConfig, build
+from .tensor import InvalidArgument
 
 MAGIC = b"MFCK"
 VERSION = 1
@@ -132,8 +134,12 @@ def _read_container(path: str) -> tuple:
 
 
 def save(model: Model, path: str) -> None:
-    """Write the model's config and every persistent array to ``path``."""
-    _write_container(path, model.state_arrays(), model.config.to_json_dict())
+    """Write the model's config and every persistent array to ``path``; f32 models only."""
+    state = model.state_arrays()
+    for name, (arr, _) in state.items():
+        if arr.dtype != np.float32:
+            raise InvalidArgument(f"save: tensor {name!r} is {arr.dtype.name}; containers hold float32 models only")
+    _write_container(path, state, model.config.to_json_dict())
 
 
 def load(path: str) -> Model:
@@ -145,6 +151,13 @@ def load(path: str) -> Model:
         config = ModelConfig.from_json_dict(manifest["config"])
     except ConfigError as e:
         raise CheckpointCorruptionError(f"{path!r}: embedded model config is malformed: {e}") from e
+    # Refuse before building: the config alone may name a model far larger than the file.
+    needed = sum(count_params(config))
+    declared = sum(arr.size for arr in arrays.values())
+    if declared < needed:
+        raise CheckpointCorruptionError(
+            f"{path!r}: manifest declares {declared:,} elements, its config needs at least {needed:,}"
+        )
     model = build(config, seed=0)
     state = model.state_arrays()
     missing = set(state) - set(arrays)

@@ -1,8 +1,8 @@
 """Command-line surface: model description, gradient checking, toy training, inference.
 
 Exit codes: 0 success, 1 validation error (flags, config, shape/resolution
-mismatches), 2 runtime error (I/O failures, corrupt files). Results go to
-stdout, diagnostics to stderr.
+mismatches), 2 runtime error (I/O failures, corrupt files, a non-finite
+training loss). Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -126,14 +126,16 @@ def cmd_train_toy(args) -> int:
     config = _load_config(args.config, None)
     lr = args.lr if args.lr is not None else default_peak_lr(args.batch_size)
     metrics_path = args.metrics or (args.out + ".metrics.ndjson")
-    result = train_loop(
-        config,
-        steps=args.steps,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        lr_peak=lr,
-        metrics_path=metrics_path,
-    )
+    # A non-finite loss stops training with one error line, not numpy's warnings about it.
+    with np.errstate(all="ignore"):
+        result = train_loop(
+            config,
+            steps=args.steps,
+            batch_size=args.batch_size,
+            seed=args.seed,
+            lr_peak=lr,
+            metrics_path=metrics_path,
+        )
     save(result.model, args.out)
     last = result.metrics[-1] if result.metrics else None
     summary = {
@@ -215,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, InvalidArgument) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (CheckpointFormatError, CheckpointCorruptionError, OSError) as e:
+    except (CheckpointFormatError, CheckpointCorruptionError, FloatingPointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

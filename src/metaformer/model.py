@@ -19,7 +19,7 @@ from .init import child_rng, trunc_normal
 from .mixers import MIXER_KINDS, MIXERS, MixerConfig
 from .module import Module
 from .norms import NORM_KINDS, make_norm
-from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d, matmul
+from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d, conv_out_size, matmul
 
 SMALL_DIMS = (64, 128, 320, 512)
 MEDIUM_DIMS = (96, 192, 384, 768)
@@ -58,10 +58,6 @@ def drop_path_schedule(peak_rate: float, total_blocks: int) -> List[float]:
     if total_blocks == 1:
         return [0.0]
     return [peak_rate * i / (total_blocks - 1) for i in range(total_blocks)]
-
-
-def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - kernel) // stride + 1
 
 
 def stage_grids(input_size: int) -> List[int]:
@@ -288,10 +284,8 @@ class Model(Module):
                 f"forward: model is bound to {self.config.input_size}x{self.config.input_size} input "
                 f"(resolution-dependent mixers), got {H}x{W}"
             )
-        for s, (embed, blocks) in enumerate(zip(self.embeds, self.stages)):
+        for embed, blocks in zip(self.embeds, self.stages):
             x = embed(x)
-            if x.shape[2] < 1 or x.shape[3] < 1:
-                raise InvalidArgument(f"forward: stage {s + 1} grid is empty for this input size")
             for blk in blocks:
                 x = blk(x, mode, rng)
         x = self.final_norm(x, mode)

@@ -22,6 +22,13 @@ class _AffineNorm(Module):
         self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(channels), requires_grad=True, dtype=dtype)
 
+    def _normalize(self, x: Tensor, axes) -> tuple:
+        """(affine((x - mean) / sqrt(var + eps)), mean, biased var), the moments taken over ``axes``."""
+        mu = x.mean(axis=axes, keepdims=True)
+        d = x - mu
+        var = (d * d).mean(axis=axes, keepdims=True)
+        return self._affine(d / sqrt(var + self.eps)), mu, var
+
     def _affine(self, y: Tensor) -> Tensor:
         c = self.channels
         return y * self.gamma.reshape(1, c, 1, 1) + self.beta.reshape(1, c, 1, 1)
@@ -31,20 +38,14 @@ class ModifiedLayerNorm(_AffineNorm):
     """Normalizes each sample over all of (C, H, W), affine per channel."""
 
     def __call__(self, x: Tensor, mode: str = "eval") -> Tensor:
-        mu = x.mean(axis=(1, 2, 3), keepdims=True)
-        d = x - mu
-        var = (d * d).mean(axis=(1, 2, 3), keepdims=True)
-        return self._affine(d / sqrt(var + self.eps))
+        return self._normalize(x, (1, 2, 3))[0]
 
 
 class ChannelLayerNorm(_AffineNorm):
     """Normalizes each (b, h, w) position over channels only."""
 
     def __call__(self, x: Tensor, mode: str = "eval") -> Tensor:
-        mu = x.mean(axis=1, keepdims=True)
-        d = x - mu
-        var = (d * d).mean(axis=1, keepdims=True)
-        return self._affine(d / sqrt(var + self.eps))
+        return self._normalize(x, 1)[0]
 
 
 class BatchNorm(_AffineNorm):
@@ -71,15 +72,13 @@ class BatchNorm(_AffineNorm):
                 raise InvalidArgument(
                     f"batch_norm: train mode needs B*H*W >= 2 elements per channel, got {count}"
                 )
-            mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            d = x - mu
-            var = (d * d).mean(axis=(0, 2, 3), keepdims=True)
+            y, mu, var = self._normalize(x, (0, 2, 3))
             m = self.momentum
             unbiased = var.data.reshape(c) * (count / (count - 1))
             # In-place so checkpoint buffer references stay valid.
             self.running_mean[:] = (1 - m) * self.running_mean + m * mu.data.reshape(c)
             self.running_var[:] = (1 - m) * self.running_var + m * unbiased
-            return self._affine(d / sqrt(var + self.eps))
+            return y
         mu = Tensor(self.running_mean.reshape(1, c, 1, 1))
         denom = Tensor(np.sqrt(self.running_var + self.eps).reshape(1, c, 1, 1))
         return self._affine((x - mu) / denom)

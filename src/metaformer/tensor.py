@@ -6,9 +6,11 @@ Jacobian products through a dynamically built DAG; ``Tensor.backward`` walks
 the recorded graph once, in reverse topological order.
 
 Kernel choices: k x k pooling is a separable box sum (k-1 row-shifted adds,
-then k-1 column-shifted adds), a 1x1 stride-1 ungrouped conv is one matmul
-on [B, C, H*W], and f32 GELU evaluates erf as a rational approximation in
-f32; f64 GELU keeps scipy's erf, imported only when first used.
+then k-1 column-shifted adds); conv2d is im2col into K-major columns
+[groups, Cin/groups*Kh*Kw, B*Hout*Wout] plus one GEMM per group, where a 1x1
+stride-1 unpadded ungrouped input is its own column matrix; f32 GELU
+evaluates erf as a rational approximation in f32, while f64 GELU keeps
+scipy's erf, imported only when first used.
 """
 
 from __future__ import annotations
@@ -468,7 +470,7 @@ def log_softmax_lastdim(a: Tensor) -> Tensor:
 
 # ------------------------------------------------------------------ conv / pool
 
-def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
+def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
@@ -506,40 +508,42 @@ def conv2d(
         raise InvalidArgument(f"conv2d: bias shape {bias.shape} does not match output channels {cout}")
     sh, sw = stride
     ph, pw = padding
-    hout = _conv_out_size(H, kh, sh, ph)
-    wout = _conv_out_size(W, kw, sw, pw)
+    hout = conv_out_size(H, kh, sh, ph)
+    wout = conv_out_size(W, kw, sw, pw)
     if hout < 1 or wout < 1:
         raise InvalidArgument(
             f"conv2d: output spatial size ({hout}, {wout}) is degenerate for input ({H}, {W}), "
             f"kernel ({kh}, {kw}), stride ({sh}, {sw}), padding ({ph}, {pw})"
         )
 
-    if kh == kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and groups == 1:
-        return _conv1x1(x, weight, bias)
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
+    # Backward rebuilds the columns from this view: holding the column copy would grow the graph.
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    win_g = win.reshape(B, groups, cin_g, hout, wout, kh, kw)
-    w_g = weight.data.reshape(groups, cout // groups, cin_g, kh, kw)
-    y = np.einsum("bgihwkl,goikl->bgohw", win_g, w_g, optimize=True)
+    w_g = weight.data.reshape(groups, cout // groups, cin_g * kh * kw)
+    # 1x1, stride 1, unpadded, ungrouped: x is its own column matrix, so W @ x[b] per sample.
+    direct = (kh, kw, sh, sw, ph, pw, groups) == (1, 1, 1, 1, 0, 0, 1)
+    if direct:
+        y = np.matmul(w_g[0], x.data.reshape(B, cin, H * W))
+    else:
+        y = np.matmul(w_g, _im2col(win, groups)).reshape(cout, B, hout, wout).transpose(1, 0, 2, 3)
     y = np.ascontiguousarray(y.reshape(B, cout, hout, wout))
     if bias is not None:
-        y = y + bias.data.reshape(1, cout, 1, 1)
+        y += bias.data.reshape(1, cout, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        g_g = g.reshape(B, groups, cout // groups, hout, wout)
+        g_g = g.transpose(1, 0, 2, 3).reshape(groups, cout // groups, B * hout * wout)
         if weight.requires_grad:
-            gw = np.einsum("bgihwkl,bgohw->goikl", win_g, g_g, optimize=True)
-            _accum(weight, gw.reshape(weight.shape))
-        if x.requires_grad:
-            gcols = np.einsum("goikl,bgohw->bgihwkl", w_g, g_g, optimize=True)
-            gcols = gcols.reshape(B, cin, hout, wout, kh, kw)
+            _accum(weight, np.matmul(g_g, _im2col(win, groups).swapaxes(1, 2)).reshape(weight.shape))
+        if x.requires_grad and direct:
+            _accum(x, np.matmul(w_g[0].T, g.reshape(B, cout, H * W)).reshape(x.shape))
+        elif x.requires_grad:
+            gcols = np.matmul(w_g.swapaxes(1, 2), g_g).reshape(cin, kh, kw, B, hout, wout)
             gp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    gp[:, :, i : i + sh * hout : sh, j : j + sw * wout : sw] += gcols[:, :, :, :, i, j]
+                    gp[:, :, i : i + sh * hout : sh, j : j + sw * wout : sw] += gcols[:, i, j].transpose(1, 0, 2, 3)
             _accum(x, gp[:, :, ph : ph + H, pw : pw + W])
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
@@ -547,30 +551,10 @@ def conv2d(
     return _make(y, parents, backward)
 
 
-def _conv1x1(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
-    """1x1 stride-1 ungrouped conv as W[Cout, Cin] @ x[B, Cin, H*W]."""
-    B, cin, H, W = x.shape
-    cout = weight.shape[0]
-    x3 = x.data.reshape(B, cin, H * W)
-    w2 = weight.data.reshape(cout, cin)
-    y = np.matmul(w2, x3)
-    if bias is not None:
-        y += bias.data.reshape(1, cout, 1)
-
-    def backward(g):
-        g3 = g.reshape(B, cout, H * W)
-        if weight.requires_grad:
-            # One GEMM over the batch and the grid: [Cout, B*HW] @ [B*HW, Cin].
-            g2 = g3.transpose(1, 0, 2).reshape(cout, B * H * W)
-            x2 = x3.transpose(1, 0, 2).reshape(cin, B * H * W)
-            _accum(weight, (g2 @ x2.T).reshape(weight.shape))
-        if x.requires_grad:
-            _accum(x, np.matmul(w2.T, g3).reshape(x.shape))
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(y.reshape(B, cout, H, W), parents, backward)
+def _im2col(win: np.ndarray, groups: int) -> np.ndarray:
+    """Window view [B, Cin, Hout, Wout, Kh, Kw] as K-major columns [groups, Cin/groups*Kh*Kw, B*Hout*Wout]."""
+    B, cin, hout, wout, kh, kw = win.shape
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(groups, cin // groups * kh * kw, B * hout * wout)
 
 
 def avg_pool2d_excl(x: Tensor, k: int) -> Tensor:

@@ -179,7 +179,10 @@ def train_loop(
     label_smoothing: float = 0.1,
     metrics_path: Optional[str] = None,
 ) -> TrainResult:
-    """Train ``config`` on the synthetic dataset; deterministic given ``seed``."""
+    """Train ``config`` on the synthetic dataset; deterministic given ``seed``.
+
+    Raises ``FloatingPointError`` at the first non-finite loss, before its step's update.
+    """
     if steps < 0:
         raise InvalidArgument(f"train_loop: steps must be >= 0, got {steps}")
     if lr_peak is None:
@@ -195,12 +198,15 @@ def train_loop(
             images, labels = synth_batch(seed, step * batch_size, batch_size, config.input_size)
             logits = model.forward(Tensor(images), mode="train", rng=drop_rng)
             loss = label_smoothing_ce(logits, labels, label_smoothing)
+            loss_value = float(loss.data.reshape(()))
+            if not math.isfinite(loss_value):
+                raise FloatingPointError(f"train_loop: loss is {loss_value} at step {step}; stopping before the update")
             optimizer.zero_grad()
             loss.backward()
             lr = cosine_lr(step, warmup, steps, lr_peak)
             optimizer.step(lr)
             acc = float((logits.data.argmax(axis=1) == labels).mean())
-            record = {"step": step, "lr": lr, "loss": float(loss.data.reshape(())), "train_acc": acc}
+            record = {"step": step, "lr": lr, "loss": loss_value, "train_acc": acc}
             metrics.append(record)
             if out is not None:
                 out.write(json.dumps(record) + "\n")

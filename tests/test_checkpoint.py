@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metaformer import cli
+from metaformer import checkpoint, cli
 from metaformer.checkpoint import (
     MAGIC,
     CheckpointCorruptionError,
@@ -19,7 +19,7 @@ from metaformer.checkpoint import (
 from metaformer.mixers import MixerConfig
 from metaformer.model import Model, ModelConfig, build
 from metaformer.analysis import count_params
-from metaformer.tensor import Tensor
+from metaformer.tensor import InvalidArgument, Tensor
 
 TINY = ModelConfig(dims=(8, 16, 32, 64), depths=(1, 1, 2, 1), num_classes=4,
                    input_size=32, drop_path=0.0)
@@ -294,3 +294,43 @@ def test_tensor_container_roundtrip(tmp_path):
     assert np.array_equal(back["input"], arr)
     with pytest.raises(CheckpointFormatError, match="no model config"):
         load(path)
+
+
+def test_load_checks_the_config_size_before_building(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "m.ckpt")
+    save(build(TINY, seed=0), path)
+    rewrite_manifest(path, lambda m: m.update(config={"variant": "M48"}))
+
+    def no_build(*a, **k):
+        raise AssertionError("load built the model before checking the manifest's size")
+
+    monkeypatch.setattr(checkpoint, "build", no_build)
+    with pytest.raises(CheckpointCorruptionError, match=r"m\.ckpt.*declares [\d,]+ elements.*needs at least"):
+        load(path)
+    assert cli.main(["infer", "--ckpt", path, "--input", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "elements" in err[0], err
+
+
+def test_save_refuses_non_f32_models_and_writes_nothing(tmp_path):
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(InvalidArgument, match=r"'embed1\.weight' is float64"):
+        save(build(TINY, seed=0, dtype="f64"), str(path))
+    assert not path.exists()
+
+
+# sha256 of the container that STATE_POOL_IDENTITY holding fill_state()'s values
+# serializes to: header, manifest and payload bytes of format version 1.
+POOL_IDENTITY_CONTAINER_SHA256 = "19b24013f75dcbddcb9f47affb27f1957695316f5ea79aafec13ffe54e047266"
+
+
+def fill_state(model):
+    for arr, _ in model.state_arrays().values():
+        arr[...] = (np.arange(arr.size) % 251 / 7.0 - 17.0).reshape(arr.shape)
+    return model
+
+
+def test_f32_container_bytes_are_pinned(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save(fill_state(build(STATE_POOL_IDENTITY, seed=0)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == POOL_IDENTITY_CONTAINER_SHA256

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -178,6 +179,21 @@ def test_train_toy_writes_metrics_ndjson(tmp_path):
     records = [json.loads(line) for line in open(metrics)]
     assert [r["step"] for r in records] == [0, 1]
     assert all(set(r) == {"step", "lr", "loss", "train_acc"} for r in records)
+
+
+def test_train_toy_non_finite_loss_exits_2_without_checkpoint(tmp_path):
+    cfg_path = write_config(tmp_path, MICRO_JSON)
+    ckpt = tmp_path / "out.ckpt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "metaformer.cli", "train-toy", "--config", cfg_path, "--steps", "4",
+         "--batch-size", "4", "--lr", "1e30", "--out", str(ckpt)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and re.fullmatch(r"error: train_loop: loss is \S+ at step \d+; stopping before the update", err[0]), err
+    assert proc.stdout == ""
+    assert not ckpt.exists()
 
 
 # ------------------------------------------------------------------- infer

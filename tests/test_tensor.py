@@ -63,18 +63,29 @@ def test_conv2d_depthwise_delta_kernel_is_identity():
     np.testing.assert_allclose(out.data, x.data, rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_conv2d_matches_naive_oracle(seed):
-    rng = np.random.default_rng(seed)
-    stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-    padding = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-    groups = int(rng.choice([1, 2]))
-    x = rng.standard_normal((2, 4, 6, 7))
-    w = rng.standard_normal((6, 4 // groups, 3, 3))
-    b = rng.standard_normal(6)
-    got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, groups=groups)
-    want = naive_conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
-    np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+NAIVE_CONV_NAMED = {
+    "depthwise": dict(batch=2, cout=4, stride=(2, 1), padding=(1, 1), groups=4, dtype="f64"),
+    "f32_batch3": dict(batch=3, cout=6, stride=(2, 2), padding=(1, 1), groups=1, dtype="f32"),
+}
+
+
+@pytest.mark.parametrize("case", [*range(5), *NAIVE_CONV_NAMED])
+def test_conv2d_matches_naive_oracle(case):
+    # Integer cases are seeds that draw stride, padding and groups at random.
+    rng = np.random.default_rng(case if isinstance(case, int) else 50)
+    if isinstance(case, int):
+        spec = dict(batch=2, cout=6, stride=(int(rng.integers(1, 3)), int(rng.integers(1, 3))),
+                    padding=(int(rng.integers(0, 3)), int(rng.integers(0, 3))),
+                    groups=int(rng.choice([1, 2])), dtype="f64")
+    else:
+        spec = NAIVE_CONV_NAMED[case]
+    dt, kw = DTYPE_NP[spec["dtype"]], dict(stride=spec["stride"], padding=spec["padding"], groups=spec["groups"])
+    x = rng.standard_normal((spec["batch"], 4, 6, 7)).astype(dt)
+    w = rng.standard_normal((spec["cout"], 4 // spec["groups"], 3, 3)).astype(dt)
+    b = rng.standard_normal(spec["cout"]).astype(dt)
+    got = conv2d(Tensor(x), Tensor(w), Tensor(b), **kw)
+    assert got.dtype == x.dtype
+    np.testing.assert_allclose(got.data, naive_conv2d(x, w, b, **kw), **TOL[spec["dtype"]])
 
 
 def test_conv2d_shape_errors_name_dimension():
@@ -126,16 +137,29 @@ def test_conv2d_1x1_matches_naive_oracle(case, with_bias, dtype):
     np.testing.assert_allclose(got.data, want, **TOL[dtype])
 
 
-def test_conv2d_1x1_weight_and_bias_gradients_match_finite_differences():
+CONV_GRAD_CASES = {
+    # name: (input shape, weight shape, conv2d keyword arguments)
+    "1x1": ((3, 4, 5, 6), (6, 4, 1, 1), dict()),
+    "3x3_s2_p1": ((3, 4, 5, 6), (6, 4, 3, 3), dict(stride=(2, 2), padding=(1, 1))),
+    "7x7_s4_p2": ((2, 3, 9, 10), (6, 3, 7, 7), dict(stride=(4, 4), padding=(2, 2))),
+    "groups2": ((3, 4, 5, 6), (6, 2, 3, 3), dict(padding=(1, 1), groups=2)),
+    "depthwise_s1": ((3, 4, 5, 6), (4, 1, 3, 3), dict(padding=(1, 1), groups=4)),
+    "depthwise_s2": ((3, 4, 5, 6), (4, 1, 3, 3), dict(stride=(2, 2), padding=(1, 1), groups=4)),
+}
+
+
+@pytest.mark.parametrize("case", CONV_GRAD_CASES)
+def test_conv2d_weight_and_bias_gradients_match_finite_differences(case):
+    x_shape, w_shape, kw = CONV_GRAD_CASES[case]
     for seed in range(10):
         rng = np.random.default_rng(300 + seed)
-        x = Tensor(rng.standard_normal((3, 4, 5, 6)), dtype="f64", requires_grad=True)
-        w = Tensor(rng.standard_normal((6, 4, 1, 1)), dtype="f64", requires_grad=True)
-        b = Tensor(rng.standard_normal(6), dtype="f64", requires_grad=True)
-        proj = Tensor(rng.standard_normal((3, 6, 5, 6)), dtype="f64")
+        x = Tensor(rng.standard_normal(x_shape), dtype="f64", requires_grad=True)
+        w = Tensor(rng.standard_normal(w_shape), dtype="f64", requires_grad=True)
+        b = Tensor(rng.standard_normal(w_shape[0]), dtype="f64", requires_grad=True)
+        proj = Tensor(rng.standard_normal(conv2d(x, w, b, **kw).shape), dtype="f64")
 
         def loss():
-            return (conv2d(x, w, b) * proj).sum()
+            return (conv2d(x, w, b, **kw) * proj).sum()
 
         for t in (x, w, b):
             coords = [tuple(rng.integers(0, s) for s in t.shape) for _ in range(8)]

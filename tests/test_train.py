@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,3 +257,18 @@ def test_train_loop_reduces_loss_on_short_run():
                         lr_peak=3e-3, label_smoothing=0.0)
     first, last = result.metrics[0]["loss"], result.metrics[-1]["loss"]
     assert last < first
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_loop_stops_at_first_non_finite_loss(tmp_path, monkeypatch):
+    updates = []
+    real_step = AdamW.step
+    monkeypatch.setattr(AdamW, "step", lambda self, lr: (updates.append(lr), real_step(self, lr)))
+    path = str(tmp_path / "metrics.ndjson")
+    with pytest.raises(FloatingPointError, match=r"loss is (nan|-?inf) at step \d+") as info:
+        train_loop(MICRO, steps=6, batch_size=4, seed=0, lr_peak=1e30, metrics_path=path)
+    # The steps before the named one ran in full; it stopped before its update and wrote no record.
+    step = int(re.search(r"at step (\d+)", str(info.value)).group(1))
+    assert 0 < step < 6
+    assert len(updates) == step
+    assert [json.loads(line)["step"] for line in open(path)] == list(range(step))
