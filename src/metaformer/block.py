@@ -7,7 +7,8 @@ Forward (all switches on):
 
 LayerScale multiplies the branch before drop-path. ``use_residual=False``
 drops both "+ x"/"+ y" terms; ``use_channel_mlp=False`` skips the second
-sub-block entirely.
+sub-block entirely. Each norm and each "x + drop_path(ls * h)" is one graph
+node (``tensor.affine_norm``, ``tensor.residual_add``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .init import trunc_normal
 from .mixers import MixerConfig, make_mixer
 from .module import Module
 from .norms import make_norm
-from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d
+from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d, residual_add
 
 MLP_RATIO = 4
 
@@ -66,22 +67,26 @@ class ChannelMlp(Module):
         return conv2d(h, self.fc2_weight, self.fc2_bias)
 
 
+def _drop_mask(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+    """Per-sample keep mask for ``x`` scaled by 1/(1-p), shaped [B, 1, ...]; None where drop path is the identity."""
+    if not 0.0 <= p < 1.0:
+        raise InvalidArgument(f"drop_path: rate must lie in [0, 1), got {p}")
+    if mode == "eval" or p == 0.0:
+        return None
+    if rng is None:
+        raise InvalidArgument("drop_path: train mode requires an rng")
+    B = x.shape[0]
+    keep = (rng.random(B) >= p).astype(x.dtype.type)
+    return (keep / (1.0 - p)).reshape((B,) + (1,) * (x.ndim - 1))
+
+
 def drop_path(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]) -> Tensor:
     """Stochastic depth: zero the branch per sample with probability p.
 
     Kept samples are scaled by 1/(1-p) so the output matches x in
     expectation. Eval mode and p=0 are exact identities.
     """
-    if not 0.0 <= p < 1.0:
-        raise InvalidArgument(f"drop_path: rate must lie in [0, 1), got {p}")
-    if mode == "eval" or p == 0.0:
-        return x
-    if rng is None:
-        raise InvalidArgument("drop_path: train mode requires an rng")
-    B = x.shape[0]
-    keep = (rng.random(B) >= p).astype(x.dtype.type)
-    mask = (keep / (1.0 - p)).reshape((B,) + (1,) * (x.ndim - 1))
-    return x * Tensor(mask)
+    return residual_add(None, x, mask=_drop_mask(x, p, mode, rng))
 
 
 class MetaFormerBlock(Module):
@@ -105,16 +110,14 @@ class MetaFormerBlock(Module):
         self.mlp = ChannelMlp(channels, config.activation, rng, dtype=dtype) if mlp else None
         self.ls2 = Tensor(np.full(channels, init), requires_grad=True, dtype=dtype) if ls and mlp else None
 
-    def _branch(self, h: Tensor, ls: Optional[Tensor], mode: str, rng) -> Tensor:
-        if ls is not None:
-            h = h * ls.reshape(1, self.channels, 1, 1)
-        return drop_path(h, self.config.drop_path_rate, mode, rng)
+    def _residual(self, x: Tensor, h: Tensor, ls: Optional[Tensor], mode: str, rng) -> Tensor:
+        """x + drop_path(ls * h), without the "x +" when the residual is off; one graph node."""
+        cfg = self.config
+        mask = _drop_mask(h, cfg.drop_path_rate, mode, rng)
+        return residual_add(x if cfg.use_residual else None, h, ls, mask)
 
     def __call__(self, x: Tensor, mode: str = "eval", rng: Optional[np.random.Generator] = None) -> Tensor:
-        cfg = self.config
-        branch = self._branch(self.mixer(self.norm1(x, mode)), self.ls1, mode, rng)
-        y = x + branch if cfg.use_residual else branch
-        if not cfg.use_channel_mlp:
+        y = self._residual(x, self.mixer(self.norm1(x, mode)), self.ls1, mode, rng)
+        if not self.config.use_channel_mlp:
             return y
-        branch = self._branch(self.mlp(self.norm2(y, mode)), self.ls2, mode, rng)
-        return y + branch if cfg.use_residual else branch
+        return self._residual(y, self.mlp(self.norm2(y, mode)), self.ls2, mode, rng)

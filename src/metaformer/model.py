@@ -113,9 +113,8 @@ class ModelConfig:
             raise ConfigError(f"num_classes: must be >= 1, got {self.num_classes}")
         if self.in_channels < 1:
             raise ConfigError(f"in_channels: must be >= 1, got {self.in_channels}")
-        for i, grid in enumerate(stage_grids(self.input_size)):
-            if grid < 1:
-                raise ConfigError(f"input_size: {self.input_size} collapses to an empty grid at stage {i + 1}")
+        if self.input_size < 32:
+            raise ConfigError(f"input_size: must be >= 32, the smallest input a forward accepts, got {self.input_size}")
 
     def resolution_bound(self) -> bool:
         return any(m.resolution_bound() for m in self.mixers)

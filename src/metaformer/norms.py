@@ -2,7 +2,8 @@
 
 All variants carry per-channel affine parameters gamma/beta of shape [C] and
 use the biased (divide-by-count) variance in the denominator. Inputs are
-channel-first [B, C, H, W].
+channel-first [B, C, H, W]. Each normalization, moments and affine included,
+is one graph node (``tensor.affine_norm``).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .module import Module
-from .tensor import InvalidArgument, Tensor, sqrt
+from .tensor import InvalidArgument, Tensor, affine_norm
 
 
 class _AffineNorm(Module):
@@ -22,16 +23,9 @@ class _AffineNorm(Module):
         self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(channels), requires_grad=True, dtype=dtype)
 
-    def _normalize(self, x: Tensor, axes) -> tuple:
-        """(affine((x - mean) / sqrt(var + eps)), mean, biased var), the moments taken over ``axes``."""
-        mu = x.mean(axis=axes, keepdims=True)
-        d = x - mu
-        var = (d * d).mean(axis=axes, keepdims=True)
-        return self._affine(d / sqrt(var + self.eps)), mu, var
-
-    def _affine(self, y: Tensor) -> Tensor:
-        c = self.channels
-        return y * self.gamma.reshape(1, c, 1, 1) + self.beta.reshape(1, c, 1, 1)
+    def _normalize(self, x: Tensor, axes, moments=None) -> tuple:
+        """(affine((x - mean) / sqrt(var + eps)), mean, biased var), the moments taken over ``axes``; one graph node."""
+        return affine_norm(x, self.gamma, self.beta, axes, self.eps, moments)
 
 
 class ModifiedLayerNorm(_AffineNorm):
@@ -74,14 +68,13 @@ class BatchNorm(_AffineNorm):
                 )
             y, mu, var = self._normalize(x, (0, 2, 3))
             m = self.momentum
-            unbiased = var.data.reshape(c) * (count / (count - 1))
+            unbiased = var.reshape(c) * (count / (count - 1))
             # In-place so checkpoint buffer references stay valid.
-            self.running_mean[:] = (1 - m) * self.running_mean + m * mu.data.reshape(c)
+            self.running_mean[:] = (1 - m) * self.running_mean + m * mu.reshape(c)
             self.running_var[:] = (1 - m) * self.running_var + m * unbiased
             return y
-        mu = Tensor(self.running_mean.reshape(1, c, 1, 1))
-        denom = Tensor(np.sqrt(self.running_var + self.eps).reshape(1, c, 1, 1))
-        return self._affine((x - mu) / denom)
+        moments = (self.running_mean.reshape(1, c, 1, 1), self.running_var.reshape(1, c, 1, 1))
+        return self._normalize(x, (0, 2, 3), moments)[0]
 
 
 class NoNorm(Module):

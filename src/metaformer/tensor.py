@@ -9,8 +9,16 @@ Kernel choices: k x k pooling is a separable box sum (k-1 row-shifted adds,
 then k-1 column-shifted adds); conv2d is im2col into K-major columns
 [groups, Cin/groups*Kh*Kw, B*Hout*Wout] plus one GEMM per group, where a 1x1
 stride-1 unpadded ungrouped input is its own column matrix; f32 GELU
-evaluates erf as a rational approximation in f32, while f64 GELU keeps
-scipy's erf, imported only when first used.
+evaluates its normal CDF, erf included, as a rational approximation in f32,
+while f64 GELU keeps scipy's erf, imported only when first used.
+
+The MetaFormer frame records one node per step: ``affine_norm`` is a whole
+normalization (moments, normalize, per-channel affine) and ``residual_add``
+a whole residual branch (LayerScale, drop-path mask, residual add). Each
+runs the same numpy operations, in the same order, as the chain of
+elementary ops it replaces, forward and backward, so its results are
+bit-identical to that chain's; it keeps only its output and the small
+moments, and recomputes the centred input in its backward.
 """
 
 from __future__ import annotations
@@ -382,11 +390,13 @@ def _horner(z: np.ndarray, coeffs: tuple, acc: np.ndarray) -> None:
     acc += coeffs[-1]
 
 
-def _erf_f32(x: np.ndarray) -> np.ndarray:
+def _erf_f32(x: np.ndarray, normal_cdf: bool = False) -> np.ndarray:
     """erf of a float32 array in float32; odd, and exact at 0 and +-inf.
 
-    Evaluated in place over blocks of ``_ERF_BLOCK`` elements, so that the
-    ~20 passes of the rational run in cache rather than in memory.
+    With ``normal_cdf`` the result is the normal CDF 0.5 * (1 + erf(x / sqrt(2)))
+    instead, its scale and shift applied in the same blocks. Evaluated in place
+    over blocks of ``_ERF_BLOCK`` elements, so that the ~20 passes of the
+    rational run in cache rather than in memory.
     """
     flat = x.reshape(-1)
     out = np.empty_like(flat)
@@ -394,29 +404,37 @@ def _erf_f32(x: np.ndarray) -> np.ndarray:
     for start in range(0, flat.size, _ERF_BLOCK):
         t = out[start : start + _ERF_BLOCK]
         n = t.size
-        np.clip(flat[start : start + _ERF_BLOCK], -_ERF_CLAMP, _ERF_CLAMP, out=t)
+        src = flat[start : start + _ERF_BLOCK]
+        if normal_cdf:
+            src = np.multiply(src, _INV_SQRT2, out=t)
+        np.clip(src, -_ERF_CLAMP, _ERF_CLAMP, out=t)
         np.multiply(t, t, out=z[:n])
         _horner(z[:n], _ERF_P, num[:n])
         _horner(z[:n], _ERF_Q, den[:n])
         num[:n] *= t
         np.divide(num[:n], den[:n], out=t)
+        if normal_cdf:
+            t += 1.0
+            t *= 0.5
     return out.reshape(x.shape)
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + erf(x / sqrt(2)))."""
     if x.dtype == np.float32:
-        return _erf_f32(x)
+        return _erf_f32(x, normal_cdf=True)
     from scipy.special import erf  # f64 only, so importing this module does not load scipy
 
-    return erf(x)
+    cdf = erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = a.data
-    cdf = _erf(x * _INV_SQRT2)
-    cdf += 1.0
-    cdf *= 0.5
+    cdf = _normal_cdf(x)
 
     def backward(g):
         d = x * x
@@ -466,6 +484,98 @@ def log_softmax_lastdim(a: Tensor) -> Tensor:
         _accum(a, g - soft * g.sum(axis=-1, keepdims=True))
 
     return _make(shifted - lse, (a,), backward)
+
+
+# ------------------------------------------------------------------ MetaFormer frame
+
+def _channel_shape(channels: int, ndim: int) -> tuple:
+    return (1, channels) + (1,) * (ndim - 2)
+
+
+def affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, moments=None) -> tuple:
+    """(gamma * (x - mu) / sqrt(var + eps) + beta, mu, var) as one node with parents (x, gamma, beta).
+
+    gamma and beta are per channel (axis 1); mu and the biased variance var
+    are taken over ``axes`` with kept dims. ``moments=(mu, var)`` supplies
+    fixed moments instead (BatchNorm eval), which the gradient treats as
+    constants. Forward and backward run the numpy operations of the chain
+    mean, sub, mul, mean, add, sqrt, div, mul, add in that chain's order.
+    """
+    _check_same_dtype(x, gamma, "affine_norm")
+    xd = x.data
+    affine = _channel_shape(gamma.shape[0], xd.ndim)
+    g_r, b_r = gamma.data.reshape(affine), beta.data.reshape(affine)
+    if moments is None:
+        mu = xd.mean(axis=axes, keepdims=True)
+        d = xd - mu
+        var = (d * d).mean(axis=axes, keepdims=True)
+    else:
+        mu, var = (m.copy() for m in moments)  # the backward must not see later buffer updates
+        d = xd - mu
+    root = np.sqrt(var + np.asarray(eps, xd.dtype))
+    d /= root
+    d *= g_r
+    d += b_r
+    count = xd.size // mu.size  # elements per moment
+
+    def backward(g):
+        centred = xd - mu
+        _accum(gamma, _unbroadcast(g * (centred / root), affine).reshape(gamma.shape))
+        _accum(beta, _unbroadcast(g, affine).reshape(beta.shape))
+        if not x.requires_grad:
+            return
+        g_xhat = g * g_r
+        g_centred = g_xhat / root
+        if moments is None:
+            g_root = -g_xhat
+            g_root *= centred
+            g_root /= root * root
+            g_var = _unbroadcast(g_root, root.shape) * (0.5 / root)
+            g_sq = np.broadcast_to(g_var, xd.shape) / count
+            g_sq *= centred
+            g_centred += g_sq  # d feeds d * d twice
+            g_centred += g_sq
+        _accum(x, g_centred)
+        if moments is None:
+            _accum(x, np.broadcast_to(_unbroadcast(-g_centred, mu.shape), xd.shape) / count)
+
+    return _make(d, (x, gamma, beta), backward), mu, var
+
+
+def residual_add(x: Optional[Tensor], h: Tensor, scale: Optional[Tensor] = None,
+                 mask: Optional[np.ndarray] = None) -> Tensor:
+    """x + (h * scale) * mask as one node with parents (x, h, scale); x has h's shape.
+
+    ``scale`` is per channel (axis 1, LayerScale) and ``mask`` a constant
+    array broadcast against h (drop path); a ``None`` term is left out, and
+    with all three ``None`` the result is ``h`` itself. Forward and backward
+    run the numpy operations of the chain mul, mul, add in that chain's order.
+    """
+    if x is None and scale is None and mask is None:
+        return h
+    out = h.data
+    if scale is not None:
+        _check_same_dtype(h, scale, "residual_add")
+        s_r = scale.data.reshape(_channel_shape(scale.shape[0], h.ndim))
+        out = out * s_r
+    if mask is not None:
+        out = np.multiply(out, mask, out=None if out is h.data else out)
+    if x is not None:
+        _check_same_dtype(x, h, "residual_add")
+        out = np.add(x.data, out, out=None if out is h.data else out)
+
+    def backward(g):
+        if x is not None:
+            _accum(x, g)
+        if mask is not None:
+            g = g * mask
+        if scale is None:
+            _accum(h, g)
+        else:
+            _accum(h, g * s_r)
+            _accum(scale, _unbroadcast(g * h.data, s_r.shape).reshape(scale.shape))
+
+    return _make(out, tuple(t for t in (x, h, scale) if t is not None), backward)
 
 
 # ------------------------------------------------------------------ conv / pool

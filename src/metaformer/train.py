@@ -154,11 +154,44 @@ def synth_sample(seed: int, index: int, size: int = 32) -> Tuple[np.ndarray, int
 
 
 def synth_batch(seed: int, start_index: int, batch_size: int, size: int = 32) -> Tuple[np.ndarray, np.ndarray]:
-    images = np.empty((batch_size, 3, size, size), dtype=np.float32)
-    labels = np.empty(batch_size, dtype=np.int64)
-    for i in range(batch_size):
-        images[i], labels[i] = synth_sample(seed, start_index + i, size)
-    return images, labels
+    """Samples ``start_index`` onward, bit-identical to stacking ``synth_sample`` calls.
+
+    Each sample draws from its own stream in ``synth_sample``'s order; the
+    masks, the fill, the noise add, the clip and the cast run once for the batch.
+    """
+    labels = np.arange(start_index, start_index + batch_size) % N_CLASSES
+    bg, fg, geo = (np.empty((batch_size, 3)) for _ in range(3))  # geo: (cy, cx, radius) or (period, phase, -)
+    noise = np.empty((batch_size, 3, size, size))
+    for i, label in enumerate(labels):
+        rng = child_rng(seed, 2, start_index + i)
+        bg[i] = rng.uniform(0.0, 0.25, size=3)
+        fg[i] = rng.uniform(0.65, 1.0, size=3)
+        if label == 0:
+            geo[i, :2] = rng.uniform(size * 0.35, size * 0.65, size=2)
+            geo[i, 2] = rng.uniform(size * 0.18, size * 0.32)
+        elif label == 1:
+            geo[i, :2] = rng.uniform(size * 0.35, size * 0.65, size=2)
+            geo[i, 2] = rng.uniform(size * 0.16, size * 0.28)
+        else:
+            period = int(rng.integers(6, 11))
+            geo[i, :2] = period, int(rng.integers(0, period))
+        rng.standard_normal(out=noise[i])
+    noise *= 0.02  # rng.normal(0.0, 0.02) draws the same stream and returns 0.0 + 0.02 * z
+    yy, xx = np.mgrid[0:size, 0:size]
+    mask = np.empty((batch_size, size, size), dtype=bool)
+    for label in range(N_CLASSES):
+        pick = labels == label
+        a, b, r = (geo[pick, j].reshape(-1, 1, 1) for j in range(3))
+        if label == 0:
+            mask[pick] = (yy - a) ** 2 + (xx - b) ** 2 <= r * r
+        elif label == 1:
+            mask[pick] = (np.abs(yy - a) <= r) & (np.abs(xx - b) <= r)
+        else:
+            period, phase = a.astype(np.int64), b.astype(np.int64)
+            mask[pick] = (((yy if label == 2 else xx) + phase) % period) < period // 2
+    img = np.where(mask[:, None], fg[:, :, None, None], bg[:, :, None, None])
+    img += noise
+    return np.clip(img, 0.0, 1.0, out=img).astype(np.float32), labels.astype(np.int64)
 
 
 # ------------------------------------------------------------------ train loop

@@ -1,10 +1,16 @@
 """Naive reference implementations used as independent test oracles.
 
-Everything here is written as direct loops / direct formulas, deliberately
-sharing no code with the package. Keep them slow and obvious.
+Everything above the "recorded chains" section is written as direct loops /
+direct formulas, deliberately sharing no code with the package. Keep them
+slow and obvious. The recorded chains below are the exception: they compose
+the package's elementary Tensor ops exactly as the norms and blocks did
+before each norm and residual branch became one fused node, and serve as the
+bit-for-bit reference of those fused ops, forward and backward.
 """
 
 import numpy as np
+
+from metaformer.tensor import Tensor, sqrt
 
 
 def naive_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1):
@@ -118,3 +124,64 @@ def naive_softmax_rows(x):
         e = np.exp(flat[r] - flat[r].max())
         oflat[r] = e / e.sum()
     return out
+
+
+# ---------------------------------------------------------------- recorded chains
+
+def chain_norm(x, gamma, beta, axes, eps, moments=None):
+    """(y, mu, var) of a norm as the chain mean, sub, mul, mean, add, sqrt, div, mul, add.
+
+    ``moments=(running_mean, running_var)`` of shape [C] gives BatchNorm's eval chain.
+    """
+    c = gamma.shape[0]
+    if moments is None:
+        mu = x.mean(axis=axes, keepdims=True)
+        d = x - mu
+        var = (d * d).mean(axis=axes, keepdims=True)
+        y = d / sqrt(var + eps)
+    else:
+        running_mean, running_var = moments
+        mu = Tensor(running_mean.reshape(1, c, 1, 1))
+        var = Tensor(running_var.reshape(1, c, 1, 1))
+        y = (x - mu) / Tensor(np.sqrt(running_var + eps).reshape(1, c, 1, 1))
+    return y * gamma.reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1), mu.data, var.data
+
+
+def chain_drop_path(x, p, mode, rng):
+    if mode == "eval" or p == 0.0:
+        return x
+    B = x.shape[0]
+    keep = (rng.random(B) >= p).astype(x.dtype.type)
+    return x * Tensor((keep / (1.0 - p)).reshape((B,) + (1,) * (x.ndim - 1)))
+
+
+def chain_block(block, x, mode="eval", rng=None):
+    """``MetaFormerBlock.__call__`` as separate norm, LayerScale, drop-path and residual nodes."""
+    cfg = block.config
+    c = block.channels
+
+    def norm(layer, t):
+        if cfg.norm == "none":
+            return t
+        if cfg.norm == "bn":
+            if mode == "eval":
+                return chain_norm(t, layer.gamma, layer.beta, (0, 2, 3), layer.eps,
+                                  (layer.running_mean, layer.running_var))[0]
+            y, mu, var = chain_norm(t, layer.gamma, layer.beta, (0, 2, 3), layer.eps)
+            count = t.shape[0] * t.shape[2] * t.shape[3]
+            m = layer.momentum
+            layer.running_mean[:] = (1 - m) * layer.running_mean + m * mu.reshape(c)
+            layer.running_var[:] = (1 - m) * layer.running_var + m * (var.reshape(c) * (count / (count - 1)))
+            return y
+        return chain_norm(t, layer.gamma, layer.beta, (1, 2, 3) if cfg.norm == "mln" else 1, layer.eps)[0]
+
+    def branch(t, h, ls):
+        if ls is not None:
+            h = h * ls.reshape(1, c, 1, 1)
+        h = chain_drop_path(h, cfg.drop_path_rate, mode, rng)
+        return t + h if cfg.use_residual else h
+
+    y = branch(x, block.mixer(norm(block.norm1, x)), block.ls1)
+    if not cfg.use_channel_mlp:
+        return y
+    return branch(y, block.mlp(norm(block.norm2, y)), block.ls2)

@@ -16,6 +16,7 @@ from metaformer.model import (
     stage_plan,
 )
 from metaformer.tensor import InvalidArgument, Tensor, matmul
+from metaformer.train import tiny_train_config
 
 TINY = ModelConfig(dims=(16, 32, 64, 128), depths=(1, 1, 2, 1), num_classes=4,
                    input_size=32, drop_path=0.0)
@@ -256,6 +257,19 @@ def test_config_json_rejects_unknown_fields():
         ModelConfig.from_json_dict({"custom": {"dims": [8, 8, 8, 8], "dropout": 0.5}})
     with pytest.raises(ConfigError, match="exactly one"):
         ModelConfig.from_json_dict({})
+
+
+def test_config_refuses_inputs_smaller_than_a_forward_accepts(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"^input_size: .*>= 32.*got 16"):
+        build(replace(tiny_train_config(), input_size=16))
+    with pytest.raises(ConfigError, match="input_size"):
+        replace(tiny_train_config(), input_size=31).validate()
+    replace(tiny_train_config(), input_size=32).validate()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"custom": {**TINY_CUSTOM, "input_size": 16}}))
+    assert cli.main(["describe", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "input_size" in err[0], err
 
 
 def test_config_validation_errors_carry_field_path():

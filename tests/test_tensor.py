@@ -14,6 +14,7 @@ from metaformer.tensor import (
     _erf_f32,
     InvalidArgument,
     Tensor,
+    affine_norm,
     avg_pool2d_excl,
     conv2d,
     gelu,
@@ -21,6 +22,7 @@ from metaformer.tensor import (
     matmul,
     narrow,
     relu,
+    residual_add,
     silu,
     softmax_lastdim,
 )
@@ -276,6 +278,20 @@ def test_f64_gelu_matches_scipy_bit_for_bit():
     np.testing.assert_array_equal(gelu(Tensor(x, dtype="f64")).data, want)
 
 
+def test_f32_gelu_folds_the_cdf_into_the_erf_loop_bit_for_bit():
+    # Sizes below, at and across the erf block, plus specials: the folded scale, +1 and x0.5
+    # must give the bits of applying them as whole-array passes around erf.
+    rng = np.random.default_rng(6)
+    for n in (1, 7, 32768, 70001):
+        x = (rng.standard_normal(n) * 4).astype(np.float32)
+        x[: min(n, 5)] = np.array([0.0, -0.0, np.inf, -np.inf, 40.0], dtype=np.float32)[: min(n, 5)]
+        cdf = _erf_f32(x * _INV_SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
+        with np.errstate(invalid="ignore"):  # gelu(-inf) = -inf * 0
+            assert gelu(Tensor(x)).data.tobytes() == (x * cdf).tobytes(), n
+
+
 def test_f32_gelu_error_is_bounded_by_the_erf_error():
     # An 8-ulp erf error (ulp <= 2**-24 below 1) moves 0.5 * x * (1 + erf) by at most 2**-22 * |x|;
     # the bound doubles that to cover rounding x / sqrt(2) and 1 + erf, plus the product's rounding.
@@ -403,7 +419,24 @@ OPS_UNDER_GRADCHECK = {
     "mean": lambda x, aux: x.mean(axis=(2, 3), keepdims=True),
     "add_mul_div": lambda x, aux: (x * x + x) / (x * x + Tensor(np.full((1,), 2.0))),
     "swapaxes": lambda x, aux: x.swapaxes(1, 3) * aux["p"],
+    "affine_norm_mln": lambda x, aux: affine_norm(x, *_frame_params(4), (1, 2, 3), 1e-5)[0],
+    "affine_norm_ln": lambda x, aux: affine_norm(x, *_frame_params(4), 1, 1e-5)[0],
+    "affine_norm_bn_train": lambda x, aux: affine_norm(x, *_frame_params(4), (0, 2, 3), 1e-5)[0],
+    "affine_norm_bn_eval": lambda x, aux: affine_norm(x, *_frame_params(4), (0, 2, 3), 1e-5, _BN_MOMENTS)[0],
+    "residual_add": lambda x, aux: residual_add(x, gelu(x), _frame_params(4)[0], _DROP_MASK),
+    "residual_add_no_scale": lambda x, aux: residual_add(x, x * x),
 }
+
+# Fixed operands of the fused frame ops, drawn apart from ``rng`` so that the
+# coordinates every other op is checked at stay as they were.
+_BN_MOMENTS = (np.full((1, 4, 1, 1), 0.3), np.full((1, 4, 1, 1), 1.7))
+_DROP_MASK = np.array([0.0, 2.5]).reshape(2, 1, 1, 1)
+
+
+def _frame_params(channels):
+    rng = np.random.default_rng(11)
+    return (Tensor(1.0 + 0.3 * rng.standard_normal(channels), dtype="f64", requires_grad=True),
+            Tensor(0.3 * rng.standard_normal(channels), dtype="f64", requires_grad=True))
 
 
 def _aux(rng):

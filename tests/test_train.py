@@ -205,6 +205,19 @@ def test_synth_samples_are_valid_images():
         assert label == index % 4
 
 
+@pytest.mark.parametrize("seed,start,batch,size", [
+    (0, 0, 32, 32), (1, 5, 7, 32), (3, 1000, 64, 64), (7, 3, 1, 32), (2, 17, 9, 48), (11, 2, 5, 33),
+])
+def test_synth_batch_is_bit_identical_to_stacked_samples(seed, start, batch, size):
+    images, labels = synth_batch(seed, start, batch, size)
+    samples = [synth_sample(seed, start + i, size) for i in range(batch)]
+    assert images.dtype == np.float32 and labels.dtype == np.int64
+    assert images.tobytes() == np.stack([img for img, _ in samples]).tobytes()
+    assert labels.tolist() == [label for _, label in samples]
+    if batch >= 4:
+        assert set(labels.tolist()) == {0, 1, 2, 3}
+
+
 def test_synth_batch_is_class_balanced():
     _, labels = synth_batch(0, 0, 64)
     counts = np.bincount(labels, minlength=4)
