@@ -16,7 +16,8 @@ The payload is written in manifest order. Tensor names are the model's
 hierarchical parameter paths (e.g. "stage3.block2.mlp.fc1.weight"). Frozen
 marks tensors the optimizer never updates (frozen mixer weights, running
 statistics). Loading rebuilds the model from the embedded config and copies
-payload bytes back bit-exactly; it never runs model math.
+payload bytes back bit-exactly, straight from the bytes read from the file;
+it never runs model math, and the model it returns records no graph.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _read_container(path: str) -> tuple:
         raise CheckpointCorruptionError(f"{path!r}: manifest is not valid JSON: {e}") from e
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
         raise CheckpointCorruptionError(f"{path!r}: manifest missing a 'tensors' list")
-    payload = blob[16 + mlen :]
+    payload = memoryview(blob)[16 + mlen :]  # views, not copies, of the file bytes
     arrays: Dict[str, np.ndarray] = {}
     prev_end = 0
     for index, entry in enumerate(manifest["tensors"]):
@@ -143,7 +144,11 @@ def save(model: Model, path: str) -> None:
 
 
 def load(path: str) -> Model:
-    """Rebuild the model stored at ``path`` with parameters restored bit-exactly."""
+    """Rebuild the model stored at ``path`` with parameters restored bit-exactly.
+
+    The model is returned for serving: its forwards record no autodiff
+    graph. Call ``requires_grad_(True)`` on it to train or fine-tune it.
+    """
     manifest, arrays = _read_container(path)
     if manifest.get("config") is None:
         raise CheckpointFormatError(f"{path!r}: container has no model config (tensor-only file?)")
@@ -175,8 +180,8 @@ def load(path: str) -> Model:
             raise CheckpointCorruptionError(
                 f"{path!r}: tensor {name!r} has shape {loaded.shape}, model expects {arr.shape}"
             )
-        arr[...] = loaded.astype(arr.dtype)
-    return model
+        np.copyto(arr, loaded)
+    return model.requires_grad_(False)
 
 
 def save_tensors(path: str, tensors: Dict[str, np.ndarray]) -> None:

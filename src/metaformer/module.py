@@ -1,9 +1,12 @@
 """State walk shared by every layer that holds parameters or buffers.
 
 A ``Module`` names its state after its attributes, in the order ``__init__``
-assigned them. Each leaf is classified once: a ``Tensor`` with
-``requires_grad`` is trainable, a ``Tensor`` without it is frozen, a bare
-``ndarray`` is a buffer. Child modules, and lists of them, are walked into.
+assigned them. Each leaf's class is fixed when it is constructed: a
+``Tensor`` built with ``requires_grad`` is trainable (``Tensor.trainable``),
+one built without it is frozen, a bare ``ndarray`` is a buffer. Child
+modules, and lists of them, are walked into. ``requires_grad`` itself only
+says whether a forward records a graph; ``requires_grad_`` switches it on
+the trainable leaves and never touches a frozen one.
 """
 
 from __future__ import annotations
@@ -45,11 +48,17 @@ class Module:
 
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
         """Optimizer-visible tensors."""
-        return ((n, v) for n, v in self.named_state(prefix) if isinstance(v, Tensor) and v.requires_grad)
+        return ((n, v) for n, v in self.named_state(prefix) if isinstance(v, Tensor) and v.trainable)
 
     def frozen_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
         """Persisted tensors the optimizer never touches (e.g. random-matrix weights)."""
-        return ((n, v) for n, v in self.named_state(prefix) if isinstance(v, Tensor) and not v.requires_grad)
+        return ((n, v) for n, v in self.named_state(prefix) if isinstance(v, Tensor) and not v.trainable)
+
+    def requires_grad_(self, flag: bool):
+        """Record a graph through every trainable leaf (True) or through none (False); returns self."""
+        for _, t in self.named_parameters():
+            t.requires_grad = bool(flag)
+        return self
 
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         """Persisted arrays outside the autodiff graph (e.g. running statistics)."""

@@ -63,12 +63,17 @@ def _as_dtype(dtype) -> np.dtype:
 class Tensor:
     """N-dimensional array participating in the autodiff graph.
 
-    ``requires_grad`` marks leaves that should accumulate gradients; results
-    of operations require grad iff any input does. ``grad`` is allocated
-    during ``backward`` and has the same shape/dtype as ``data``.
+    ``requires_grad`` means "record a graph": it marks leaves that accumulate
+    gradients, and results of operations require grad iff any input does.
+    ``trainable`` is fixed when the leaf is constructed, from its initial
+    ``requires_grad``, and says whether a layer's leaf is a parameter or a
+    frozen tensor; results of operations are never trainable. Turning
+    ``requires_grad`` off on a parameter stops recording without changing
+    what it is. ``grad`` is allocated during ``backward`` and has the same
+    shape/dtype as ``data``; only leaves keep theirs after ``backward``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "trainable", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is not None:
@@ -78,7 +83,7 @@ class Tensor:
             if arr.dtype not in (np.float32, np.float64):
                 arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = self.trainable = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple = ()
         self._backward_fn = None
@@ -117,14 +122,25 @@ class Tensor:
 
     # ----------------------------------------------------------- backward
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into all requires_grad leaves."""
+        """Accumulate gradients of this scalar into all requires_grad leaves.
+
+        Each intermediate node's gradient is released once its closure has
+        run, so a second ``backward`` over the same graph adds the same
+        leaf gradients again.
+        """
         if self.data.size != 1:
             raise InvalidArgument(f"backward: loss must be scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise InvalidArgument(
+                "backward: the loss records no graph (no input requires grad); "
+                "call requires_grad_(True) on the model to train it"
+            )
         order = _toposort(self)
-        self.grad = np.ones_like(self.data)
+        _accum(self, np.ones_like(self.data))
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
 
     # ----------------------------------------------------------- operators
     def __add__(self, other):
@@ -204,6 +220,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     node.grad = None
     needs = any(p.requires_grad for p in parents)
     node.requires_grad = needs
+    node.trainable = False
     node._parents = tuple(parents) if needs else ()
     node._backward_fn = backward if needs else None
     return node

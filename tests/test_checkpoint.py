@@ -18,8 +18,9 @@ from metaformer.checkpoint import (
 )
 from metaformer.mixers import MixerConfig
 from metaformer.model import Model, ModelConfig, build
-from metaformer.analysis import count_params
+from metaformer.analysis import cost_report, count_params
 from metaformer.tensor import InvalidArgument, Tensor
+from metaformer.train import AdamW, label_smoothing_ce, synth_batch, tiny_train_config
 
 TINY = ModelConfig(dims=(8, 16, 32, 64), depths=(1, 1, 2, 1), num_classes=4,
                    input_size=32, drop_path=0.0)
@@ -334,3 +335,63 @@ def test_f32_container_bytes_are_pinned(tmp_path):
     path = tmp_path / "m.ckpt"
     save(fill_state(build(STATE_POOL_IDENTITY, seed=0)), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == POOL_IDENTITY_CONTAINER_SHA256
+
+
+# ---------------------------------------------------------------- serving without a graph
+
+def test_loaded_model_forward_records_no_graph(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    save(build(STATE_HYBRID_BN, seed=0), path)
+    restored = load(path)
+    out = restored.forward(Tensor(np.random.default_rng(0).random((2, 3, 32, 32)).astype(np.float32)), mode="eval")
+    assert out.requires_grad is False
+    assert out._parents == ()
+    assert all(not t.requires_grad for _, t in restored.named_state() if isinstance(t, Tensor))
+
+
+def test_loaded_model_keeps_its_trainable_and_frozen_split(tmp_path):
+    model = build(STATE_HYBRID_BN, seed=4)
+    x = Tensor(np.random.default_rng(1).random((4, 3, 32, 32)).astype(np.float32))
+    model.forward(x, mode="train", rng=np.random.default_rng(0))  # move BN buffers off init
+    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save(model, str(p1))
+    restored = load(str(p1))
+    save(restored, str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
+    assert [n for n, _ in restored.named_parameters()] == [n for n, _ in model.named_parameters()]
+    assert [n for n, _ in restored.frozen_parameters()] == [n for n, _ in model.frozen_parameters()]
+    assert restored.requires_grad_(True) is restored
+    assert all(t.requires_grad for _, t in restored.named_parameters())
+    frozen = list(restored.frozen_parameters())
+    assert frozen and all(not t.requires_grad for _, t in frozen)
+
+
+def adamw_step(model):
+    images, labels = synth_batch(0, 0, 4, model.config.input_size)
+    logits = model.forward(Tensor(images), mode="train", rng=np.random.default_rng(1))
+    optimizer = AdamW(list(model.named_parameters()))
+    label_smoothing_ce(logits, labels, 0.1).backward()
+    optimizer.step(1e-3)
+    return model.state_arrays()
+
+
+def test_adamw_step_on_a_loaded_model_matches_the_saved_model(tmp_path):
+    config = tiny_train_config()
+    path = str(tmp_path / "m.ckpt")
+    save(build(config, seed=2), path)
+    expected = adamw_step(build(config, seed=2))
+    got = adamw_step(load(path).requires_grad_(True))
+    assert list(got) == list(expected)
+    for name, (arr, frozen) in expected.items():
+        assert got[name][1] == frozen
+        assert np.array_equal(got[name][0], arr), name
+
+
+def test_loaded_model_counts_like_the_built_model(tmp_path):
+    model = build(STATE_HYBRID_BN, seed=0)
+    path = str(tmp_path / "m.ckpt")
+    save(model, path)
+    restored = load(path)
+    assert count_params(restored) == count_params(model) == count_params(STATE_HYBRID_BN)
+    assert count_params(restored)[1] > 0
+    assert cost_report(restored.config).to_json_dict() == cost_report(model.config).to_json_dict()

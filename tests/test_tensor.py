@@ -375,6 +375,53 @@ def test_backward_rejects_nonscalar_loss():
         (x * x).backward()
 
 
+def test_backward_from_a_root_that_records_no_graph_raises():
+    # Nothing requires grad, so there is no graph: a silent return would train nothing.
+    x = rnd((2, 2), seed=17)
+    with pytest.raises(InvalidArgument, match=r"requires_grad_\(True\)"):
+        (x * x).sum().backward()
+    assert x.grad is None
+
+
+def test_second_backward_accumulates_the_single_pass_gradient_again():
+    # x -> (2x).sum(): d/dx is 2, so two passes give 4; keeping the
+    # intermediate's gradient between passes would give 6.
+    x = Tensor(np.array([1.5, -3.0]), dtype="f64", requires_grad=True)
+    loss = (x * 2.0).sum()
+    loss.backward()
+    once = x.grad.copy()
+    np.testing.assert_array_equal(once, [2.0, 2.0])
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, 2 * once)
+
+    # A scalar leaf as its own loss accumulates too.
+    x = Tensor(np.array([2.0]), dtype="f64", requires_grad=True)
+    x.backward()
+    x.backward()
+    np.testing.assert_array_equal(x.grad, [2.0])
+
+    # The same on a deeper graph where each leaf feeds one op: bit for bit.
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((2, 4, 8, 8)), dtype="f32", requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 4, 3, 3)), dtype="f32", requires_grad=True)
+    loss = (avg_pool2d_excl(gelu(conv2d(x, w, padding=(1, 1))), 3) * 0.5).sum()
+    loss.backward()
+    once = x.grad.copy(), w.grad.copy()
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, 2 * once[0])
+    np.testing.assert_array_equal(w.grad, 2 * once[1])
+
+
+def test_backward_releases_intermediate_gradients_and_keeps_leaf_ones():
+    x = rnd((3, 4), seed=18)
+    x.requires_grad = True
+    h = gelu(x * x)
+    loss = h.sum()
+    loss.backward()
+    assert h.grad is None and loss.grad is None
+    assert x.grad is not None
+
+
 def test_backward_off_path_leaf_gets_zero_gradient():
     x = rnd((2, 2), seed=15)
     y = rnd((2, 2), seed=16)
