@@ -18,7 +18,6 @@ runs made on the same machine with the same settings. That is also why
 this is a tool and not a test.
 """
 
-import argparse
 import hashlib
 import os
 import tempfile
@@ -30,6 +29,7 @@ from metaformer.checkpoint import load, save
 from metaformer.tensor import Tensor
 from metaformer.train import tiny_train_config, train_loop
 
+SEED = 0
 TRAIN_STEPS = 60
 S12_BATCHES = (1, 8)
 
@@ -42,11 +42,7 @@ def digest(chunks) -> str:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-
-    result = train_loop(tiny_train_config(), steps=TRAIN_STEPS, seed=args.seed)
+    result = train_loop(tiny_train_config(), steps=TRAIN_STEPS, seed=SEED)
     losses = np.array([m["loss"] for m in result.metrics], dtype=np.float64)
     print(f"train-tiny {TRAIN_STEPS}-step losses  {digest([losses.tobytes()])}")
     state = result.model.state_arrays()
@@ -55,9 +51,9 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "s12.ckpt")
-        save(build(ModelConfig.variant_named("S12"), seed=args.seed), path)
+        save(build(ModelConfig.variant_named("S12"), seed=SEED), path)
         model = load(path)
-    images = np.random.default_rng(args.seed).random((max(S12_BATCHES), 3, 224, 224), dtype=np.float32)
+    images = np.random.default_rng(SEED).random((max(S12_BATCHES), 3, 224, 224), dtype=np.float32)
     for batch in S12_BATCHES:
         logits = model.forward(Tensor(images[:batch]), mode="eval").data
         print(f"S12 loaded, batch {batch} logits  {digest([logits.tobytes()])}")
