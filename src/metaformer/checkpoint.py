@@ -15,22 +15,25 @@ Layout (all integers little-endian):
 The payload is written in manifest order. Tensor names are the model's
 hierarchical parameter paths (e.g. "stage3.block2.mlp.fc1.weight"). Frozen
 marks tensors the optimizer never updates (frozen mixer weights, running
-statistics). Loading rebuilds the model from the embedded config and copies
-payload bytes back bit-exactly, straight from the bytes read from the file;
-it never runs model math, and the model it returns records no graph.
+statistics). Loading checks the header and every manifest entry against the
+file's size first, then builds the model from the embedded config without a
+random init and reads each tensor's payload bytes from the file straight into
+its array, bit-exactly; it never runs model math, and the model it returns
+records no graph.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from typing import Dict, Optional
 
 import numpy as np
 
 from .analysis import count_params
-from .model import ConfigError, Model, ModelConfig, build
+from .model import ConfigError, Model, ModelConfig
 from .tensor import InvalidArgument
 
 MAGIC = b"MFCK"
@@ -96,29 +99,38 @@ def _entry_fields(entry, index: int, path: str) -> tuple:
     return name, tuple(shape), entry["offset"], entry["byte_len"]
 
 
-def _read_container(path: str) -> tuple:
-    """Returns (manifest dict, {name: f32 array})."""
+def _open(path: str):
     try:
-        with open(path, "rb") as f:
-            blob = f.read()
+        return open(path, "rb", buffering=0)
     except OSError as e:
         raise OSError(f"cannot read container from {path!r}: {e}") from e
-    if len(blob) < 16 or blob[:4] != MAGIC:
+
+
+def _read_manifest(f, path: str) -> tuple:
+    """(manifest dict, {name: (shape, file offset)}), reading no payload byte.
+
+    Every entry is checked against the file's size, so a later read of an
+    entry comes up short only if the file shrinks while it is open.
+    """
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(16)
+    if len(head) < 16 or head[:4] != MAGIC:
         raise CheckpointFormatError(f"{path!r} is not a checkpoint container (bad magic)")
-    (version,) = struct.unpack("<I", blob[4:8])
+    (version,) = struct.unpack("<I", head[4:8])
     if version != VERSION:
         raise CheckpointFormatError(f"{path!r}: unsupported container version {version}")
-    (mlen,) = struct.unpack("<Q", blob[8:16])
-    if 16 + mlen > len(blob):
+    (mlen,) = struct.unpack("<Q", head[8:16])
+    manifest_bytes = f.read(mlen) if 16 + mlen <= size else b""  # never ask for more than the file holds
+    if len(manifest_bytes) < mlen:
         raise CheckpointCorruptionError(f"{path!r}: manifest truncated")
     try:
-        manifest = json.loads(blob[16 : 16 + mlen].decode("utf-8"))
+        manifest = json.loads(manifest_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointCorruptionError(f"{path!r}: manifest is not valid JSON: {e}") from e
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
         raise CheckpointCorruptionError(f"{path!r}: manifest missing a 'tensors' list")
-    payload = memoryview(blob)[16 + mlen :]  # views, not copies, of the file bytes
-    arrays: Dict[str, np.ndarray] = {}
+    payload_start = 16 + mlen
+    entries: Dict[str, tuple] = {}
     prev_end = 0
     for index, entry in enumerate(manifest["tensors"]):
         name, shape, start, byte_len = _entry_fields(entry, index, path)
@@ -127,11 +139,27 @@ def _read_container(path: str) -> tuple:
         if start < prev_end:
             raise CheckpointCorruptionError(f"{path!r}: tensor {name!r} overlaps the previous entry")
         end = start + byte_len
-        if end > len(payload):
+        if payload_start + end > size:
             raise CheckpointCorruptionError(f"{path!r}: payload truncated at tensor {name!r}")
-        arrays[name] = np.frombuffer(payload[start:end], dtype=_PAYLOAD_DTYPE).reshape(shape)
+        entries[name] = (shape, payload_start + start)
         prev_end = end
-    return manifest, arrays
+    return manifest, entries
+
+
+def _read_into(f, path: str, name: str, offset: int, out: np.ndarray) -> None:
+    """Fill ``out`` (C-contiguous, 4-byte floats) with the payload bytes of ``name`` at ``offset``."""
+    if out.nbytes == 0:
+        return
+    view = memoryview(out).cast("B")
+    f.seek(offset)
+    filled = 0
+    while filled < len(view):
+        n = f.readinto(view[filled:])
+        if not n:
+            raise CheckpointCorruptionError(f"{path!r}: payload truncated at tensor {name!r}")
+        filled += n
+    if out.dtype != _PAYLOAD_DTYPE:  # a native f32 array on a big-endian host
+        out.byteswap(inplace=True)
 
 
 def save(model: Model, path: str) -> None:
@@ -146,41 +174,46 @@ def save(model: Model, path: str) -> None:
 def load(path: str) -> Model:
     """Rebuild the model stored at ``path`` with parameters restored bit-exactly.
 
-    The model is returned for serving: its forwards record no autodiff
-    graph. Call ``requires_grad_(True)`` on it to train or fine-tune it.
+    Every check on the manifest runs before any payload byte is read. The
+    model is built without a random init (``Model(config, None)``) and each
+    tensor is read from the file straight into its array. The model is
+    returned for serving: its forwards record no autodiff graph. Call
+    ``requires_grad_(True)`` on it to train or fine-tune it.
     """
-    manifest, arrays = _read_container(path)
-    if manifest.get("config") is None:
-        raise CheckpointFormatError(f"{path!r}: container has no model config (tensor-only file?)")
-    try:
-        config = ModelConfig.from_json_dict(manifest["config"])
-    except ConfigError as e:
-        raise CheckpointCorruptionError(f"{path!r}: embedded model config is malformed: {e}") from e
-    # Refuse before building: the config alone may name a model far larger than the file.
-    needed = sum(count_params(config))
-    declared = sum(arr.size for arr in arrays.values())
-    if declared < needed:
-        raise CheckpointCorruptionError(
-            f"{path!r}: manifest declares {declared:,} elements, its config needs at least {needed:,}"
-        )
-    model = build(config, seed=0)
-    state = model.state_arrays()
-    missing = set(state) - set(arrays)
-    extra = set(arrays) - set(state)
-    if missing or extra:
-        detail = []
-        if missing:
-            detail.append(f"missing {sorted(missing)[:3]}")
-        if extra:
-            detail.append(f"unexpected {sorted(extra)[:3]}")
-        raise CheckpointCorruptionError(f"{path!r}: tensor set mismatch ({'; '.join(detail)})")
-    for name, (arr, _) in state.items():
-        loaded = arrays[name]
-        if loaded.shape != arr.shape:
+    with _open(path) as f:
+        manifest, entries = _read_manifest(f, path)
+        if manifest.get("config") is None:
+            raise CheckpointFormatError(f"{path!r}: container has no model config (tensor-only file?)")
+        try:
+            config = ModelConfig.from_json_dict(manifest["config"])
+        except ConfigError as e:
+            raise CheckpointCorruptionError(f"{path!r}: embedded model config is malformed: {e}") from e
+        # Refuse before building: the config alone may name a model far larger than the file.
+        needed = sum(count_params(config))
+        declared = sum(math.prod(shape) for shape, _ in entries.values())
+        if declared < needed:
             raise CheckpointCorruptionError(
-                f"{path!r}: tensor {name!r} has shape {loaded.shape}, model expects {arr.shape}"
+                f"{path!r}: manifest declares {declared:,} elements, its config needs at least {needed:,}"
             )
-        np.copyto(arr, loaded)
+        model = Model(config, None)
+        state = model.state_arrays()
+        missing = set(state) - set(entries)
+        extra = set(entries) - set(state)
+        if missing or extra:
+            detail = []
+            if missing:
+                detail.append(f"missing {sorted(missing)[:3]}")
+            if extra:
+                detail.append(f"unexpected {sorted(extra)[:3]}")
+            raise CheckpointCorruptionError(f"{path!r}: tensor set mismatch ({'; '.join(detail)})")
+        for name, (arr, _) in state.items():
+            shape = entries[name][0]
+            if shape != arr.shape:
+                raise CheckpointCorruptionError(
+                    f"{path!r}: tensor {name!r} has shape {shape}, model expects {arr.shape}"
+                )
+        for name, (_, offset) in entries.items():
+            _read_into(f, path, name, offset, state[name][0])
     return model.requires_grad_(False)
 
 
@@ -190,5 +223,10 @@ def save_tensors(path: str, tensors: Dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path: str) -> Dict[str, np.ndarray]:
-    _, arrays = _read_container(path)
+    """Every named array of a container, each read from the file into a fresh little-endian f32 array."""
+    with _open(path) as f:
+        _, entries = _read_manifest(f, path)
+        arrays = {name: np.empty(shape, _PAYLOAD_DTYPE) for name, (shape, _) in entries.items()}
+        for name, (_, offset) in entries.items():
+            _read_into(f, path, name, offset, arrays[name])
     return arrays

@@ -160,7 +160,8 @@ class RandomMatrixMixer(Mixer):
 
     The matrix is drawn uniform [0, 1), row-softmaxed, renormalized so each
     row sums to 1 in f64, then frozen: it is excluded from the optimizer but
-    persisted in checkpoints.
+    persisted in checkpoints. Without an rng the matrix is zeros, to be filled
+    from a checkpoint.
     """
 
     kind = "random_matrix"
@@ -170,10 +171,13 @@ class RandomMatrixMixer(Mixer):
         if n_tokens < 1:
             raise InvalidArgument(f"random-matrix mixer: token count must be >= 1, got {n_tokens}")
         self.n_tokens = n_tokens
-        raw = rng.random((n_tokens, n_tokens), dtype=np.float64)
-        e = np.exp(raw - raw.max(axis=1, keepdims=True))
-        w = e / e.sum(axis=1, keepdims=True)
-        w /= w.sum(axis=1, keepdims=True)
+        if rng is None:
+            w = np.zeros((n_tokens, n_tokens))
+        else:
+            raw = rng.random((n_tokens, n_tokens), dtype=np.float64)
+            e = np.exp(raw - raw.max(axis=1, keepdims=True))
+            w = e / e.sum(axis=1, keepdims=True)
+            w /= w.sum(axis=1, keepdims=True)
         self.weight = Tensor(w, requires_grad=False, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -228,13 +228,17 @@ class PatchEmbed(Module):
 
 
 class Model(Module):
-    """Built network: 4 embed/stage pairs, final norm, global pool, linear head."""
+    """Built network: 4 embed/stage pairs, final norm, global pool, linear head.
 
-    def __init__(self, config: ModelConfig, seed: int, dtype="f32"):
+    ``seed`` None draws nothing: every randomly initialized array is zero,
+    and the caller fills the state (``checkpoint.load`` reads it from a file).
+    """
+
+    def __init__(self, config: ModelConfig, seed: Optional[int], dtype="f32"):
         config.validate()
         self.config = config
         self.seed = seed
-        rng = child_rng(seed, 0)
+        rng = None if seed is None else child_rng(seed, 0)
         grids = stage_grids(config.input_size)
         rates = drop_path_schedule(config.drop_path, config.total_blocks())
         block_index = 0

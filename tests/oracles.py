@@ -126,6 +126,18 @@ def naive_softmax_rows(x):
     return out
 
 
+def loop_trunc_normal(rng, shape, std=0.02, bound=2.0):
+    """The original whole-array rejection loop: redraw every out-of-bound value, re-check all."""
+    out = rng.standard_normal(shape)
+    while True:
+        bad = np.abs(out) > bound
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            break
+        out[bad] = rng.standard_normal(n_bad)
+    return out * std
+
+
 # ---------------------------------------------------------------- recorded chains
 
 def chain_norm(x, gamma, beta, axes, eps, moments=None):

@@ -1,12 +1,14 @@
+import builtins
 import hashlib
 import json
+import os
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from metaformer import checkpoint, cli
+from metaformer import checkpoint, cli, model as model_module
 from metaformer.checkpoint import (
     MAGIC,
     CheckpointCorruptionError,
@@ -305,7 +307,7 @@ def test_load_checks_the_config_size_before_building(tmp_path, monkeypatch, caps
     def no_build(*a, **k):
         raise AssertionError("load built the model before checking the manifest's size")
 
-    monkeypatch.setattr(checkpoint, "build", no_build)
+    monkeypatch.setattr(checkpoint, "Model", no_build)
     with pytest.raises(CheckpointCorruptionError, match=r"m\.ckpt.*declares [\d,]+ elements.*needs at least"):
         load(path)
     assert cli.main(["infer", "--ckpt", path, "--input", path]) == 2
@@ -387,3 +389,113 @@ def test_adamw_step_on_a_loaded_model_matches_the_saved_model(tmp_path):
     for name, (arr, frozen) in expected.items():
         assert got[name][1] == frozen
         assert np.array_equal(got[name][0], arr), name
+
+
+# ---------------------------------------------------------------- init-free load
+
+def test_load_draws_no_random_init(tmp_path, monkeypatch):
+    model = build(STATE_HYBRID_BN, seed=6)
+    x = Tensor(np.random.default_rng(1).random((4, 3, 32, 32)).astype(np.float32))
+    model.forward(x, mode="train", rng=np.random.default_rng(0))  # move BN buffers off init
+    path = str(tmp_path / "m.ckpt")
+    save(model, path)
+
+    def no_rng(*a, **k):
+        raise AssertionError("load drew a random init")
+
+    monkeypatch.setattr(model_module, "child_rng", no_rng)
+    restored = load(path).state_arrays()
+    expected = model.state_arrays()
+    assert list(restored) == list(expected)
+    for name, (arr, frozen) in expected.items():
+        assert restored[name][1] == frozen
+        assert restored[name][0].dtype == np.float32
+        assert np.array_equal(restored[name][0], arr), name
+
+
+class ReadCounter:
+    """A file whose reads are tallied in ``bytes_read``."""
+
+    def __init__(self, f):
+        self.f, self.bytes_read = f, 0
+
+    def read(self, *args):
+        data = self.f.read(*args)
+        self.bytes_read += len(data)
+        return data
+
+    def readinto(self, buf):
+        n = self.f.readinto(buf)
+        self.bytes_read += n or 0
+        return n
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def count_reads(monkeypatch) -> list:
+    """Every file ``checkpoint`` opens from now on, as a ReadCounter."""
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(ReadCounter(builtins.open(*args, **kwargs)))
+        return opened[-1]
+
+    monkeypatch.setattr(checkpoint, "open", counting_open, raising=False)
+    return opened
+
+
+def header_and_manifest_len(path) -> int:
+    blob = open(path, "rb").read()
+    return 16 + struct.unpack("<Q", blob[8:16])[0]
+
+
+def saved_tiny(tmp_path) -> str:
+    path = str(tmp_path / "m.ckpt")
+    save(build(TINY, seed=0), path)
+    return path
+
+
+def test_container_cut_mid_payload_is_refused_before_reading_payload(tmp_path, monkeypatch):
+    path = saved_tiny(tmp_path)
+    blob = open(path, "rb").read()
+    head = header_and_manifest_len(path)
+    open(path, "wb").write(blob[: (head + len(blob)) // 2])
+    opened = count_reads(monkeypatch)
+    for reader in (load, load_tensors):
+        with pytest.raises(CheckpointCorruptionError, match="payload truncated at tensor"):
+            reader(path)
+    assert [f.bytes_read for f in opened] == [head, head]
+
+
+def test_entry_pointing_past_eof_is_refused_before_reading_payload(tmp_path, monkeypatch):
+    path = saved_tiny(tmp_path)
+    payload_len = len(open(path, "rb").read()) - header_and_manifest_len(path)
+    rewrite_manifest(path, _set_entry(-1, offset=payload_len))  # head.bias, 16 bytes past the end
+    head = header_and_manifest_len(path)
+    opened = count_reads(monkeypatch)
+    for reader in (load, load_tensors):
+        with pytest.raises(CheckpointCorruptionError, match="payload truncated at tensor 'head.bias'"):
+            reader(path)
+    assert [f.bytes_read for f in opened] == [head, head]
+
+
+def test_file_shrinking_after_the_manifest_check_raises_truncated(tmp_path, monkeypatch):
+    path = saved_tiny(tmp_path)
+    size = len(open(path, "rb").read())
+    read_manifest = checkpoint._read_manifest
+
+    def then_shrink(f, p):
+        out = read_manifest(f, p)
+        os.truncate(p, size - 100)
+        return out
+
+    monkeypatch.setattr(checkpoint, "_read_manifest", then_shrink)
+    with pytest.raises(CheckpointCorruptionError, match="payload truncated at tensor 'head.weight'"):
+        load(path)

@@ -6,9 +6,11 @@ import pytest
 
 from metaformer import cli
 from metaformer.gradcheck import check_parameter_group
+from metaformer.init import child_rng, trunc_normal
 from metaformer.mixers import MixerConfig
 from metaformer.model import (
     ConfigError,
+    Model,
     ModelConfig,
     build,
     drop_path_schedule,
@@ -17,6 +19,7 @@ from metaformer.model import (
 )
 from metaformer.tensor import InvalidArgument, Tensor, matmul
 from metaformer.train import tiny_train_config
+from oracles import loop_trunc_normal
 
 TINY = ModelConfig(dims=(16, 32, 64, 128), depths=(1, 1, 2, 1), num_classes=4,
                    input_size=32, drop_path=0.0)
@@ -110,6 +113,45 @@ def test_build_initialization_contracts():
     np.testing.assert_array_equal(params["embed1.bias"].data, 0.0)
     np.testing.assert_array_equal(params["stage1.block0.norm1.gamma"].data, 1.0)
     np.testing.assert_array_equal(params["stage1.block0.ls1"].data, np.float32(TINY.layer_scale_init))
+
+
+TRUNC_NORMAL_CASES = [(seed, shape) for seed in (0, 1, 2) for shape in ((17,), (64, 3, 7, 7), (1000, 1000))]
+
+
+@pytest.mark.parametrize("seed, shape", TRUNC_NORMAL_CASES + [(0, (3136, 3136))])
+def test_trunc_normal_is_bit_identical_to_the_whole_array_loop(seed, shape):
+    got = trunc_normal(child_rng(seed, 0), shape)
+    assert got.dtype == np.float64 and got.shape == shape
+    assert np.array_equal(got, loop_trunc_normal(child_rng(seed, 0), shape))
+
+
+def test_trunc_normal_without_rng_is_f64_zeros():
+    out = trunc_normal(None, (5, 3))
+    assert out.dtype == np.float64 and out.shape == (5, 3)
+    assert not out.any()
+
+
+INIT_FREE_CONFIGS = [
+    MICRO,
+    ModelConfig(dims=(8, 16, 32, 64), depths=(1, 1, 1, 1), num_classes=4, input_size=32, norm="bn",
+                mixers=(MixerConfig(kind="attention", heads=2), MixerConfig(kind="depthwise_conv"),
+                        MixerConfig(kind="random_matrix"), MixerConfig(kind="spatial_fc"))),
+]
+
+
+@pytest.mark.parametrize("cfg", INIT_FREE_CONFIGS, ids=["pooling", "hybrid-bn"])
+def test_model_without_seed_has_the_built_state_and_draws_nothing(cfg):
+    built, other = build(cfg, seed=0).state_arrays(), build(cfg, seed=1).state_arrays()
+    empty = Model(cfg, None).state_arrays()
+    assert [(n, a.shape, a.dtype, f) for n, (a, f) in empty.items()] == \
+        [(n, a.shape, a.dtype, f) for n, (a, f) in built.items()]
+    drawn = {name for name, (arr, _) in built.items() if not np.array_equal(arr, other[name][0])}
+    assert "head.weight" in drawn and "embed1.weight" in drawn
+    for name, (arr, _) in empty.items():
+        if name in drawn:
+            assert not arr.any(), name
+        else:
+            assert np.array_equal(arr, built[name][0]), name
 
 
 def test_named_variant_table():
