@@ -9,7 +9,6 @@ accuracy, whether the gate's bounds hold, and the mean loss over the last
 20 steps; then the pass count and that mean over all seeds.
 
     PYTHONPATH=src python scripts/seed_sweep.py --seeds 12
-    PYTHONPATH=src python scripts/seed_sweep.py --seeds 8 --first-seed 100
 
 Compare two checkouts on the same machine: a change that keeps the pass
 count and the mean within the spread between seeds did not make training
@@ -32,12 +31,11 @@ TAIL = 20
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=12, help="number of seeds to run (default 12)")
-    ap.add_argument("--first-seed", type=int, default=0, help="first seed of the sweep (default 0)")
     args = ap.parse_args()
 
     passed, tails = 0, []
     print(f"{'seed':>6} {'ratio':>7} {'acc':>6} {'pass':>5} {f'mean last {TAIL}':>13}")
-    for seed in range(args.first_seed, args.first_seed + args.seeds):
+    for seed in range(args.seeds):
         result = train_loop(tiny_train_config(), steps=STEPS, batch_size=BATCH_SIZE, seed=seed,
                             lr_peak=LR_PEAK, label_smoothing=0.0)
         losses = [m["loss"] for m in result.metrics]

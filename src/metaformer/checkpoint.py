@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 from typing import Dict, Optional
 
@@ -110,9 +111,13 @@ def _read_manifest(f, path: str) -> tuple:
     """(manifest dict, {name: (shape, file offset)}), reading no payload byte.
 
     Every entry is checked against the file's size, so a later read of an
-    entry comes up short only if the file shrinks while it is open.
+    entry comes up short only if the file shrinks while it is open. That
+    size and the seeks need a regular file; a pipe or device is refused.
     """
-    size = os.fstat(f.fileno()).st_size
+    st = os.fstat(f.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise OSError(f"cannot read container from {path!r}: not a regular file")
+    size = st.st_size
     head = f.read(16)
     if len(head) < 16 or head[:4] != MAGIC:
         raise CheckpointFormatError(f"{path!r} is not a checkpoint container (bad magic)")
@@ -147,10 +152,10 @@ def _read_manifest(f, path: str) -> tuple:
 
 
 def _read_into(f, path: str, name: str, offset: int, out: np.ndarray) -> None:
-    """Fill ``out`` (C-contiguous, 4-byte floats) with the payload bytes of ``name`` at ``offset``."""
+    """Fill ``out`` (C-contiguous f32 of either byte order) with the payload of ``name`` at ``offset``."""
     if out.nbytes == 0:
         return
-    view = memoryview(out).cast("B")
+    view = memoryview(out.reshape(-1).view(np.uint8))  # raw bytes; a non-native dtype cannot be cast
     f.seek(offset)
     filled = 0
     while filled < len(view):
@@ -158,7 +163,7 @@ def _read_into(f, path: str, name: str, offset: int, out: np.ndarray) -> None:
         if not n:
             raise CheckpointCorruptionError(f"{path!r}: payload truncated at tensor {name!r}")
         filled += n
-    if out.dtype != _PAYLOAD_DTYPE:  # a native f32 array on a big-endian host
+    if out.dtype != _PAYLOAD_DTYPE:  # big-endian f32, e.g. native on a big-endian host
         out.byteswap(inplace=True)
 
 

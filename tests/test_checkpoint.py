@@ -499,3 +499,33 @@ def test_file_shrinking_after_the_manifest_check_raises_truncated(tmp_path, monk
     monkeypatch.setattr(checkpoint, "_read_manifest", then_shrink)
     with pytest.raises(CheckpointCorruptionError, match="payload truncated at tensor 'head.weight'"):
         load(path)
+
+
+@pytest.mark.parametrize("byte_order", ["<", ">"])
+def test_payload_reads_into_arrays_of_either_byte_order(tmp_path, byte_order):
+    # One of the two orders is non-native on any host: load_tensors' little-endian
+    # arrays on a big-endian host, a big-endian array here on a little-endian one.
+    path = str(tmp_path / "x.mft")
+    values = np.arange(6, dtype=np.float32).reshape(2, 3) - 2.5
+    save_tensors(path, {"x": values})
+    out = np.empty(values.shape, byte_order + "f4")
+    with checkpoint._open(path) as f:
+        _, entries = checkpoint._read_manifest(f, path)
+        checkpoint._read_into(f, path, "x", entries["x"][1], out)
+    assert np.array_equal(out, values)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_refused_as_not_a_regular_file(tmp_path):
+    path = str(tmp_path / "input.mft")
+    save_tensors(path, {"input": np.zeros((1, 3, 32, 32), np.float32)})
+    blob = open(path, "rb").read()
+    for reader in (load, load_tensors):
+        r, w = os.pipe()
+        try:
+            os.write(w, blob[:4096])
+            os.close(w)
+            with pytest.raises(OSError, match="not a regular file"):
+                reader(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
