@@ -56,7 +56,6 @@ from .train import (
     default_peak_lr,
     label_smoothing_ce,
     synth_batch,
-    synth_sample,
     train_loop,
 )
 
@@ -112,7 +111,6 @@ __all__ = [
     "stage_grids",
     "stage_plan",
     "synth_batch",
-    "synth_sample",
     "train_loop",
 ]
 

@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
+from .block import MLP_RATIO
 from .mixers import MIXERS
 from .model import EMBED_SPECS, Model, ModelConfig, stage_grids
 from .tensor import InvalidArgument
@@ -112,7 +113,8 @@ def _block_param_counts(cfg: ModelConfig, stage: int, n_tokens: int) -> tuple:
     layer_scale = 0
     if cfg.use_channel_mlp:
         trainable += _norm_param_count(cfg.norm, c)
-        trainable += 8 * c * c + 5 * c
+        hidden = MLP_RATIO * c
+        trainable += 2 * hidden * c + hidden + c  # fc1 and fc2 weights and biases
     if cfg.use_layer_scale:
         layer_scale = 2 * c if cfg.use_channel_mlp else c
     return trainable + layer_scale, layer_scale, frozen
@@ -125,7 +127,7 @@ def _block_mac_counts(cfg: ModelConfig, stage: int, grid: int) -> tuple:
     mixer = cfg.mixers[stage]
     macs, pool, attn = MIXERS[mixer.kind].macs(mixer, c, n)
     if cfg.use_channel_mlp:
-        macs += 8 * c * c * n
+        macs += 2 * MLP_RATIO * c * c * n
     return macs, pool, attn
 
 

@@ -13,7 +13,8 @@ Layout (all integers little-endian):
                   non-overlapping
 
 The payload is written in manifest order. Tensor names are the model's
-hierarchical parameter paths (e.g. "stage3.block2.mlp.fc1.weight"). Frozen
+hierarchical parameter paths (e.g. "stage3.block2.mlp.fc1.weight"), each
+named once. Frozen
 marks tensors the optimizer never updates (frozen mixer weights, running
 statistics). Loading checks the header and every manifest entry against the
 file's size first, then builds the model from the embedded config without a
@@ -139,6 +140,8 @@ def _read_manifest(f, path: str) -> tuple:
     prev_end = 0
     for index, entry in enumerate(manifest["tensors"]):
         name, shape, start, byte_len = _entry_fields(entry, index, path)
+        if name in entries:
+            raise CheckpointCorruptionError(f"{path!r}: tensor {name!r} appears twice in the manifest")
         if byte_len != math.prod(shape) * _PAYLOAD_DTYPE.itemsize:
             raise CheckpointCorruptionError(f"{path!r}: tensor {name!r} declares {byte_len} bytes for shape {shape}")
         if start < prev_end:

@@ -25,7 +25,7 @@ from .checkpoint import (
 from .gradcheck import check_parameter_group
 from .model import ConfigError, ModelConfig, build, stage_grids
 from .tensor import InvalidArgument, Tensor, softmax_lastdim
-from .train import default_peak_lr, train_loop
+from .train import train_loop
 
 GRADCHECK_PARAM_LIMIT = 200_000
 
@@ -124,7 +124,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train_toy(args) -> int:
     config = _load_config(args.config, None)
-    lr = args.lr if args.lr is not None else default_peak_lr(args.batch_size)
     metrics_path = args.metrics or (args.out + ".metrics.ndjson")
     # A non-finite loss stops training with one error line, not numpy's warnings about it.
     with np.errstate(all="ignore"):
@@ -133,7 +132,7 @@ def cmd_train_toy(args) -> int:
             steps=args.steps,
             batch_size=args.batch_size,
             seed=args.seed,
-            lr_peak=lr,
+            lr_peak=args.lr,
             metrics_path=metrics_path,
         )
     save(result.model, args.out)
@@ -150,6 +149,8 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.topk < 1:
+        raise InvalidArgument(f"--topk must be >= 1, got {args.topk}")
     model = load(args.ckpt)
     tensors = load_tensors(args.input)
     if set(tensors) != {"input"}:

@@ -1,9 +1,11 @@
 """Central finite-difference verification of recorded gradients.
 
-All checks run in f64. The relative error of an element pair (analytic a,
-numeric n) is |a - n| / max(|a|, |n|, 1e-2); the floor keeps near-zero
-gradient coordinates from amplifying finite-difference noise into spurious
-failures while still bounding their absolute error by tol * 1e-2.
+All checks run in f64. The numeric gradient of an element x is the central
+difference (loss(x + h) - loss(x - h)) / 2h with h = ``STEP`` = 1e-5. The
+relative error of an element pair (analytic a, numeric n) is
+|a - n| / max(|a|, |n|, 1e-2); the floor keeps near-zero gradient
+coordinates from amplifying finite-difference noise into spurious failures
+while still bounding their absolute error by tol * 1e-2.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-DEFAULT_STEP = 1e-5
-DEFAULT_TOL = 1e-4
+STEP = 1e-5
 _REL_FLOOR = 1e-2
 
 
@@ -28,7 +29,6 @@ def numeric_gradient(
     loss_fn: Callable[[], float],
     array: np.ndarray,
     coords: Optional[Iterable[Tuple[int, ...]]] = None,
-    h: float = DEFAULT_STEP,
 ) -> Dict[Tuple[int, ...], float]:
     """Central differences of ``loss_fn`` w.r.t. entries of ``array`` (mutated in place, restored)."""
     if coords is None:
@@ -36,12 +36,12 @@ def numeric_gradient(
     grads: Dict[Tuple[int, ...], float] = {}
     for idx in coords:
         orig = array[idx]
-        array[idx] = orig + h
+        array[idx] = orig + STEP
         lo_hi = loss_fn()
-        array[idx] = orig - h
+        array[idx] = orig - STEP
         lo_lo = loss_fn()
         array[idx] = orig
-        grads[idx] = (lo_hi - lo_lo) / (2.0 * h)
+        grads[idx] = (lo_hi - lo_lo) / (2.0 * STEP)
     return grads
 
 
@@ -49,7 +49,6 @@ def check_tensor_gradient(
     loss_fn: Callable[[], Tensor],
     leaf: Tensor,
     coords: Optional[Sequence[Tuple[int, ...]]] = None,
-    h: float = DEFAULT_STEP,
 ) -> float:
     """Max relative error between recorded and finite-difference gradients of one leaf.
 
@@ -62,7 +61,7 @@ def check_tensor_gradient(
     loss = loss_fn()
     loss.backward()
     analytic_full = leaf.grad_array()
-    numeric = numeric_gradient(lambda: float(loss_fn().data.reshape(())), leaf.data, coords, h)
+    numeric = numeric_gradient(lambda: float(loss_fn().data.reshape(())), leaf.data, coords)
     idxs = list(numeric.keys())
     analytic = np.array([analytic_full[i] for i in idxs])
     approx = np.array([numeric[i] for i in idxs])
@@ -84,7 +83,6 @@ def check_parameter_group(
     params: Dict[str, Tensor],
     max_coords_per_tensor: int = 16,
     seed: int = 0,
-    h: float = DEFAULT_STEP,
 ) -> Dict[str, float]:
     """Per-parameter max relative error for a model-sized loss.
 
@@ -95,5 +93,5 @@ def check_parameter_group(
     report: Dict[str, float] = {}
     for name, p in params.items():
         coords = sample_coords(p.shape, max_coords_per_tensor, rng)
-        report[name] = check_tensor_gradient(loss_fn, p, coords=coords, h=h)
+        report[name] = check_tensor_gradient(loss_fn, p, coords=coords)
     return report

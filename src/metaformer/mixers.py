@@ -240,7 +240,6 @@ class AttentionMixer(Mixer):
     fields = {"heads": _check_heads}
 
     def __init__(self, channels: int, heads: Optional[int], rng: np.random.Generator, dtype="f32"):
-        self.channels = channels
         self.heads = _check_heads(heads, "attention mixer: heads", channels)
         self.head_dim = channels // self.heads
         c = channels

@@ -124,7 +124,7 @@ class ModelConfig:
 
     # -------------------------------------------------------------- variants
     @staticmethod
-    def variant_named(name: str, num_classes: int = 1000, input_size: int = 224) -> "ModelConfig":
+    def variant_named(name: str, num_classes: int = 1000) -> "ModelConfig":
         if name not in _VARIANT_TABLE:
             raise ConfigError(f"variant: unknown name {name!r}, expected one of {VARIANTS}")
         dims, total, ls_init, peak_dp = _VARIANT_TABLE[name]
@@ -137,7 +137,6 @@ class ModelConfig:
             layer_scale_init=ls_init,
             drop_path=peak_dp,
             num_classes=num_classes,
-            input_size=input_size,
             variant=name,
         )
 
@@ -216,7 +215,7 @@ class PatchEmbed(Module):
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int, stride: int,
                  pad: int, rng: np.random.Generator, dtype="f32"):
-        self.kernel, self.stride, self.pad = kernel, stride, pad
+        self.stride, self.pad = stride, pad
         self.weight = Tensor(
             trunc_normal(rng, (out_channels, in_channels, kernel, kernel)), requires_grad=True, dtype=dtype
         )
@@ -237,7 +236,6 @@ class Model(Module):
     def __init__(self, config: ModelConfig, seed: Optional[int], dtype="f32"):
         config.validate()
         self.config = config
-        self.seed = seed
         rng = None if seed is None else child_rng(seed, 0)
         grids = stage_grids(config.input_size)
         rates = drop_path_schedule(config.drop_path, config.total_blocks())

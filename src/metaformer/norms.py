@@ -13,6 +13,8 @@ import numpy as np
 from .module import Module
 from .tensor import InvalidArgument, Tensor, affine_norm
 
+BN_MOMENTUM = 0.1
+
 
 class _AffineNorm(Module):
     def __init__(self, channels: int, eps: float = 1e-5, dtype="f32"):
@@ -46,13 +48,12 @@ class BatchNorm(_AffineNorm):
     """Per-channel batch normalization with running statistics.
 
     Train mode normalizes with biased batch statistics and updates the
-    running buffers with momentum (the running variance stores the unbiased
-    estimate). Eval mode normalizes with the running buffers.
+    running buffers with momentum ``BN_MOMENTUM`` (the running variance stores
+    the unbiased estimate). Eval mode normalizes with the running buffers.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1, dtype="f32"):
+    def __init__(self, channels: int, eps: float = 1e-5, dtype="f32"):
         super().__init__(channels, eps, dtype)
-        self.momentum = momentum
         np_dtype = self.gamma.dtype
         self.running_mean = np.zeros(channels, dtype=np_dtype)
         self.running_var = np.ones(channels, dtype=np_dtype)
@@ -67,7 +68,7 @@ class BatchNorm(_AffineNorm):
                     f"batch_norm: train mode needs B*H*W >= 2 elements per channel, got {count}"
                 )
             y, mu, var = self._normalize(x, (0, 2, 3))
-            m = self.momentum
+            m = BN_MOMENTUM
             unbiased = var.reshape(c) * (count / (count - 1))
             # In-place so checkpoint buffer references stay valid.
             self.running_mean[:] = (1 - m) * self.running_mean + m * mu.reshape(c)
@@ -81,7 +82,7 @@ class NoNorm(Module):
     """Identity stand-in so 'no normalization' stays a selectable variant."""
 
     def __init__(self, channels: int, dtype="f32"):
-        self.channels = channels
+        """Takes the other norms' arguments and keeps none of them."""
 
     def __call__(self, x: Tensor, mode: str = "eval") -> Tensor:
         return x

@@ -23,10 +23,10 @@ from .tensor import InvalidArgument, Tensor, log_softmax_lastdim
 N_CLASSES = 4
 CLASS_NAMES = ("disk", "square", "h_stripes", "v_stripes")
 
-# Table-derived defaults: peak lr scales as batch_size/1024 * 1e-3, warmup
+# Table-derived settings: peak lr scales as batch_size/1024 * 1e-3, warmup
 # spans 1/60 of training (5 of 300 epochs).
-DEFAULT_BETAS = (0.9, 0.999)
-DEFAULT_EPS = 1e-8
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
 DEFAULT_WEIGHT_DECAY = 0.05
 
 
@@ -54,16 +54,8 @@ def tiny_train_config() -> ModelConfig:
 class AdamW:
     """Decoupled-weight-decay Adam over a model's optimizer-visible parameters."""
 
-    def __init__(
-        self,
-        params: List[Tuple[str, Tensor]],
-        betas: Tuple[float, float] = DEFAULT_BETAS,
-        eps: float = DEFAULT_EPS,
-        weight_decay: float = DEFAULT_WEIGHT_DECAY,
-    ):
+    def __init__(self, params: List[Tuple[str, Tensor]], weight_decay: float = DEFAULT_WEIGHT_DECAY):
         self.params = params
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params}
@@ -72,7 +64,7 @@ class AdamW:
     def step(self, lr: float) -> None:
         """One update from the gradients currently stored on the parameters."""
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAMW_BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in self.params:
@@ -85,7 +77,7 @@ class AdamW:
             v[...] = b2 * v + (1.0 - b2) * g * g
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data[...] = p.data - lr * self.weight_decay * p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data[...] = p.data - lr * self.weight_decay * p.data - lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -124,46 +116,21 @@ def label_smoothing_ce(logits: Tensor, targets: np.ndarray, smoothing: float = 0
 
 # ------------------------------------------------------------------ synthetic data
 
-def synth_sample(seed: int, index: int, size: int = 32) -> Tuple[np.ndarray, int]:
-    """One [3, size, size] image in [0, 1] and its class id; pure in (seed, index)."""
-    label = index % N_CLASSES
-    rng = child_rng(seed, 2, index)  # stream 2: data; 0 is model init, 1 is drop-path
-    bg = rng.uniform(0.0, 0.25, size=3)
-    fg = rng.uniform(0.65, 1.0, size=3)
-    img = np.broadcast_to(bg.reshape(3, 1, 1), (3, size, size)).copy()
-    yy, xx = np.mgrid[0:size, 0:size]
-    if label == 0:
-        cy, cx = rng.uniform(size * 0.35, size * 0.65, size=2)
-        r = rng.uniform(size * 0.18, size * 0.32)
-        mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
-    elif label == 1:
-        cy, cx = rng.uniform(size * 0.35, size * 0.65, size=2)
-        half = rng.uniform(size * 0.16, size * 0.28)
-        mask = (np.abs(yy - cy) <= half) & (np.abs(xx - cx) <= half)
-    elif label == 2:
-        period = int(rng.integers(6, 11))
-        phase = int(rng.integers(0, period))
-        mask = ((yy + phase) % period) < period // 2
-    else:
-        period = int(rng.integers(6, 11))
-        phase = int(rng.integers(0, period))
-        mask = ((xx + phase) % period) < period // 2
-    img[:, mask] = fg.reshape(3, 1)
-    img += rng.normal(0.0, 0.02, size=img.shape)
-    return np.clip(img, 0.0, 1.0).astype(np.float32), label
-
-
 def synth_batch(seed: int, start_index: int, batch_size: int, size: int = 32) -> Tuple[np.ndarray, np.ndarray]:
-    """Samples ``start_index`` onward, bit-identical to stacking ``synth_sample`` calls.
+    """Samples ``start_index`` onward: [batch, 3, size, size] f32 images in [0, 1] and int64 class ids.
 
-    Each sample draws from its own stream in ``synth_sample``'s order; the
-    masks, the fill, the noise add, the clip and the cast run once for the batch.
+    Sample ``i`` has class ``i % 4`` and is a pure function of (seed, i): it
+    draws from its own stream (``child_rng(seed, 2, i)``) its background and
+    foreground colours, its shape (disk or square centre and size, or stripe
+    period and phase) and its N(0, 0.02) noise, so a sample does not depend on
+    the batch it is drawn in. The masks, the fill, the noise add, the clip and
+    the cast run once for the batch.
     """
     labels = np.arange(start_index, start_index + batch_size) % N_CLASSES
     bg, fg, geo = (np.empty((batch_size, 3)) for _ in range(3))  # geo: (cy, cx, radius) or (period, phase, -)
     noise = np.empty((batch_size, 3, size, size))
     for i, label in enumerate(labels):
-        rng = child_rng(seed, 2, start_index + i)
+        rng = child_rng(seed, 2, start_index + i)  # stream 2: data; 0 is model init, 1 is drop-path
         bg[i] = rng.uniform(0.0, 0.25, size=3)
         fg[i] = rng.uniform(0.65, 1.0, size=3)
         if label == 0:
@@ -208,7 +175,6 @@ def train_loop(
     batch_size: int = 32,
     seed: int = 0,
     lr_peak: Optional[float] = None,
-    weight_decay: float = DEFAULT_WEIGHT_DECAY,
     label_smoothing: float = 0.1,
     metrics_path: Optional[str] = None,
 ) -> TrainResult:
@@ -218,12 +184,16 @@ def train_loop(
     """
     if steps < 0:
         raise InvalidArgument(f"train_loop: steps must be >= 0, got {steps}")
+    if batch_size < 1:
+        raise InvalidArgument(f"train_loop: batch_size must be >= 1, got {batch_size}")
     if lr_peak is None:
         lr_peak = default_peak_lr(batch_size)
+    if not math.isfinite(lr_peak):
+        raise InvalidArgument(f"train_loop: lr_peak must be finite, got {lr_peak}")
     model = build(config, seed)
-    optimizer = AdamW(list(model.named_parameters()), weight_decay=weight_decay)
+    optimizer = AdamW(list(model.named_parameters()))
     drop_rng = child_rng(seed, 1)
-    warmup = max(1, steps // 60) if steps > 0 else 0
+    warmup = max(1, steps // 60) if steps > 1 else 0  # a one-step run has no room to warm up
     metrics: List[Dict[str, float]] = []
     out = open(metrics_path, "w") if metrics_path else None
     try:

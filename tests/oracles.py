@@ -10,6 +10,8 @@ bit-for-bit reference of those fused ops, forward and backward.
 
 import numpy as np
 
+from metaformer.init import child_rng
+from metaformer.norms import BN_MOMENTUM
 from metaformer.tensor import Tensor, sqrt
 
 
@@ -138,6 +140,39 @@ def loop_trunc_normal(rng, shape, std=0.02, bound=2.0):
     return out * std
 
 
+def loop_synth_sample(seed, index, size=32):
+    """One synthetic [3, size, size] image and its class id, generated one sample at a time.
+
+    The per-sample generator that ``train.synth_batch`` replaced; it uses the
+    package's ``child_rng`` only to draw from the same stream.
+    """
+    label = index % 4
+    rng = child_rng(seed, 2, index)
+    bg = rng.uniform(0.0, 0.25, size=3)
+    fg = rng.uniform(0.65, 1.0, size=3)
+    img = np.broadcast_to(bg.reshape(3, 1, 1), (3, size, size)).copy()
+    yy, xx = np.mgrid[0:size, 0:size]
+    if label == 0:
+        cy, cx = rng.uniform(size * 0.35, size * 0.65, size=2)
+        r = rng.uniform(size * 0.18, size * 0.32)
+        mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+    elif label == 1:
+        cy, cx = rng.uniform(size * 0.35, size * 0.65, size=2)
+        half = rng.uniform(size * 0.16, size * 0.28)
+        mask = (np.abs(yy - cy) <= half) & (np.abs(xx - cx) <= half)
+    elif label == 2:
+        period = int(rng.integers(6, 11))
+        phase = int(rng.integers(0, period))
+        mask = ((yy + phase) % period) < period // 2
+    else:
+        period = int(rng.integers(6, 11))
+        phase = int(rng.integers(0, period))
+        mask = ((xx + phase) % period) < period // 2
+    img[:, mask] = fg.reshape(3, 1)
+    img += rng.normal(0.0, 0.02, size=img.shape)
+    return np.clip(img, 0.0, 1.0).astype(np.float32), label
+
+
 # ---------------------------------------------------------------- recorded chains
 
 def chain_norm(x, gamma, beta, axes, eps, moments=None):
@@ -181,7 +216,7 @@ def chain_block(block, x, mode="eval", rng=None):
                                   (layer.running_mean, layer.running_var))[0]
             y, mu, var = chain_norm(t, layer.gamma, layer.beta, (0, 2, 3), layer.eps)
             count = t.shape[0] * t.shape[2] * t.shape[3]
-            m = layer.momentum
+            m = BN_MOMENTUM
             layer.running_mean[:] = (1 - m) * layer.running_mean + m * mu.reshape(c)
             layer.running_var[:] = (1 - m) * layer.running_var + m * (var.reshape(c) * (count / (count - 1)))
             return y

@@ -226,6 +226,26 @@ def test_malformed_embedded_config_raises_corruption_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "config.custom.dims" in err[0], err
 
 
+def test_manifest_naming_a_tensor_twice_is_refused(tmp_path, capsys):
+    path = str(tmp_path / "m.ckpt")
+    save(build(TINY, seed=0), path)
+
+    def add_second_head_bias(manifest):
+        end = max(t["offset"] + t["byte_len"] for t in manifest["tensors"])
+        manifest["tensors"].append({"name": "head.bias", "shape": [4], "dtype": "f32", "frozen": False,
+                                    "offset": end, "byte_len": 16})
+
+    rewrite_manifest(path, add_second_head_bias)
+    with open(path, "ab") as f:
+        f.write(np.ones(4, dtype="<f4").tobytes())
+    for read in (load, load_tensors):
+        with pytest.raises(CheckpointCorruptionError, match=r"m\.ckpt.*'head\.bias' appears twice"):
+            read(path)
+    assert cli.main(["infer", "--ckpt", path, "--input", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "head.bias" in err[0], err
+
+
 def test_variant_overrides_survive_save_and_load(tmp_path):
     cfg = ModelConfig.variant_named("S12", num_classes=4)
     path = str(tmp_path / "m.ckpt")

@@ -196,6 +196,30 @@ def test_train_toy_non_finite_loss_exits_2_without_checkpoint(tmp_path):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+    (["--batch-size", "-3"], "batch_size must be >= 1, got -3"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--lr", "nan"], "lr_peak must be finite, got nan"),
+])
+def test_train_toy_out_of_range_values_exit_1_with_one_line(tmp_path, capsys, flags, message):
+    ckpt = tmp_path / "out.ckpt"
+    argv = ["train-toy", "--config", write_config(tmp_path, MICRO_JSON), "--steps", "2", "--out", str(ckpt)]
+    assert run_main(argv + flags) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+    assert not ckpt.exists() and not (tmp_path / "out.ckpt.metrics.ndjson").exists()
+
+
+def test_gradcheck_negative_seed_exits_1_with_one_line(tmp_path, capsys):
+    assert run_main(["gradcheck", "--config", write_config(tmp_path, MICRO_JSON), "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: seed must be >= 0, got -1"]
+
+
 # ------------------------------------------------------------------- infer
 
 @pytest.fixture
@@ -252,6 +276,15 @@ def test_infer_rejects_non_finite_input(tmp_path, ckpt_and_input, capsys, value)
     err = captured.err.splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0], err
+
+
+@pytest.mark.parametrize("topk", ["0", "-1"])
+def test_infer_topk_below_1_exits_1_with_one_line(ckpt_and_input, capsys, topk):
+    ckpt, inp = ckpt_and_input
+    assert run_main(["infer", "--ckpt", ckpt, "--input", inp, "--topk", topk]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --topk must be >= 1, got {topk}"]
 
 
 def test_infer_missing_file_exits_2(ckpt_and_input):

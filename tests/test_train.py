@@ -17,10 +17,11 @@ from metaformer.train import (
     default_peak_lr,
     label_smoothing_ce,
     synth_batch,
-    synth_sample,
     tiny_train_config,
     train_loop,
 )
+
+from oracles import loop_synth_sample
 
 MICRO = ModelConfig(dims=(8, 8, 16, 16), depths=(1, 1, 1, 1), num_classes=4,
                     input_size=32, drop_path=0.0)
@@ -44,7 +45,7 @@ def test_adamw_zero_grad_zero_wd_is_noop():
 def test_adamw_first_step_closed_form():
     p = make_param([1.0, 1.0])
     g = np.array([0.5, -2.0])
-    opt = AdamW([("p", p)], weight_decay=0.0, eps=1e-8)
+    opt = AdamW([("p", p)], weight_decay=0.0)
     p.grad = g.copy()
     opt.step(lr=0.01)
     want = np.array([1.0, 1.0]) - 0.01 * g / (np.abs(g) + 1e-8)
@@ -187,18 +188,18 @@ def test_label_smoothing_rejects_bad_targets():
 
 # ------------------------------------------------------------ synthetic data
 
-def test_synth_sample_is_pure_function_of_seed_and_index():
-    a_img, a_label = synth_sample(3, 17)
-    b_img, b_label = synth_sample(3, 17)
+def test_synth_batch_is_pure_function_of_seed_and_index():
+    a_img, a_label = synth_batch(3, 17, 1)
+    b_img, b_label = synth_batch(3, 17, 1)
     assert a_label == b_label
     assert np.array_equal(a_img, b_img)
-    c_img, _ = synth_sample(4, 17)
+    c_img, _ = synth_batch(4, 17, 1)
     assert not np.array_equal(a_img, c_img)
 
 
-def test_synth_samples_are_valid_images():
+def test_synth_batch_images_are_valid():
     for index in range(8):
-        img, label = synth_sample(0, index)
+        (img,), (label,) = synth_batch(0, index, 1)
         assert img.shape == (3, 32, 32)
         assert img.dtype == np.float32
         assert img.min() >= 0.0 and img.max() <= 1.0
@@ -210,7 +211,7 @@ def test_synth_samples_are_valid_images():
 ])
 def test_synth_batch_is_bit_identical_to_stacked_samples(seed, start, batch, size):
     images, labels = synth_batch(seed, start, batch, size)
-    samples = [synth_sample(seed, start + i, size) for i in range(batch)]
+    samples = [loop_synth_sample(seed, start + i, size) for i in range(batch)]
     assert images.dtype == np.float32 and labels.dtype == np.int64
     assert images.tobytes() == np.stack([img for img, _ in samples]).tobytes()
     assert labels.tolist() == [label for _, label in samples]
@@ -270,6 +271,25 @@ def test_train_loop_reduces_loss_on_short_run():
                         lr_peak=3e-3, label_smoothing=0.0)
     first, last = result.metrics[0]["loss"], result.metrics[-1]["loss"]
     assert last < first
+
+
+def test_train_loop_of_one_step_runs_at_peak_lr_and_longer_runs_keep_their_warmup():
+    assert [m["lr"] for m in train_loop(MICRO, steps=1, batch_size=4, lr_peak=1e-3).metrics] == [1e-3]
+    assert [m["lr"] for m in train_loop(MICRO, steps=2, batch_size=4, lr_peak=1e-3).metrics] == [0.0, 1e-3]
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(batch_size=0), "batch_size must be >= 1"),
+    (dict(batch_size=-3), "batch_size must be >= 1"),
+    (dict(lr_peak=math.nan), "lr_peak must be finite"),
+    (dict(lr_peak=-math.inf), "lr_peak must be finite"),
+    (dict(seed=-1), "seed must be >= 0"),
+])
+def test_train_loop_refuses_out_of_range_values_before_writing_metrics(tmp_path, kwargs, message):
+    path = tmp_path / "metrics.ndjson"
+    with pytest.raises(InvalidArgument, match=message):
+        train_loop(MICRO, **{"steps": 2, "batch_size": 4, "metrics_path": str(path), **kwargs})
+    assert not path.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
