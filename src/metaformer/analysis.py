@@ -26,7 +26,7 @@ alternative convention from the reported subtotals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Union
 
 from .block import MLP_RATIO
@@ -133,7 +133,6 @@ def _block_mac_counts(cfg: ModelConfig, stage: int, grid: int) -> tuple:
 
 def cost_report(config: ModelConfig, input_size: Optional[int] = None) -> CostReport:
     """Per-stage and total parameter/MAC accounting for ``config``."""
-    config.validate()
     if input_size is None:
         input_size = config.input_size
     if config.resolution_bound() and input_size != config.input_size:
@@ -141,10 +140,8 @@ def cost_report(config: ModelConfig, input_size: Optional[int] = None) -> CostRe
             f"cost report at {input_size} requested, but resolution-dependent mixers bind the "
             f"model to {config.input_size}"
         )
+    config = replace(config, input_size=input_size)
     grids = stage_grids(input_size)
-    if any(g < 1 for g in grids):
-        raise InvalidArgument(f"input size {input_size} collapses to an empty grid")
-    build_grids = stage_grids(config.input_size)
     stages: List[StageCost] = []
     in_ch = config.in_channels
     for s in range(4):
@@ -153,8 +150,7 @@ def cost_report(config: ModelConfig, input_size: Optional[int] = None) -> CostRe
         params = embed_weights + config.dims[s]
         embed_macs = embed_weights * grids[s] * grids[s]
         in_ch = config.dims[s]
-        n_tokens = build_grids[s] * build_grids[s]
-        bp, bls, bfz = _block_param_counts(config, s, n_tokens)
+        bp, bls, bfz = _block_param_counts(config, s, grids[s] * grids[s])
         bm, bpool, battn = _block_mac_counts(config, s, grids[s])
         depth = config.depths[s]
         stages.append(

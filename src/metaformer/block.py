@@ -20,7 +20,7 @@ import numpy as np
 
 from .init import trunc_normal
 from .mixers import MixerConfig, make_mixer
-from .module import Module
+from .module import Module, is_training
 from .norms import make_norm
 from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d, residual_add
 
@@ -38,16 +38,18 @@ class BlockConfig:
     layer_scale_init: float = 1e-5
     drop_path_rate: float = 0.0
 
-    def validate(self, path: str = "block") -> None:
-        self.mixer.validate(f"{path}.mixer")
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise InvalidArgument(
-                f"{path}.activation: unknown activation {self.activation!r}, expected one of {tuple(ACTIVATIONS)}"
+                f"block.activation: unknown activation {self.activation!r}, expected one of {tuple(ACTIVATIONS)}"
             )
         if not 0.0 <= self.drop_path_rate < 1.0:
-            raise InvalidArgument(f"{path}.drop_path_rate: must lie in [0, 1), got {self.drop_path_rate}")
+            raise InvalidArgument(f"block.drop_path_rate: must lie in [0, 1), got {self.drop_path_rate}")
         if self.use_layer_scale and self.layer_scale_init <= 0:
-            raise InvalidArgument(f"{path}.layer_scale_init: must be > 0 when enabled, got {self.layer_scale_init}")
+            raise InvalidArgument(f"block.layer_scale_init: must be > 0 when enabled, got {self.layer_scale_init}")
 
 
 class ChannelMlp(Module):
@@ -71,7 +73,7 @@ def _drop_mask(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator
     """Per-sample keep mask for ``x`` scaled by 1/(1-p), shaped [B, 1, ...]; None where drop path is the identity."""
     if not 0.0 <= p < 1.0:
         raise InvalidArgument(f"drop_path: rate must lie in [0, 1), got {p}")
-    if mode == "eval" or p == 0.0:
+    if not is_training(mode) or p == 0.0:
         return None
     if rng is None:
         raise InvalidArgument("drop_path: train mode requires an rng")
@@ -98,7 +100,6 @@ class MetaFormerBlock(Module):
         n_tokens: int = 0,
         dtype="f32",
     ):
-        config.validate()
         self.channels = channels
         self.config = config
         mlp, ls, init = config.use_channel_mlp, config.use_layer_scale, config.layer_scale_init

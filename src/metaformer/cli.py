@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -40,8 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(config_path: Optional[str], variant: Optional[str]) -> ModelConfig:
-    if (config_path is None) == (variant is None):
-        raise ConfigError("exactly one of --config or --variant is required")
     if variant is not None:
         return ModelConfig.variant_named(variant)
     try:
@@ -88,6 +87,8 @@ def cmd_describe(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise InvalidArgument(f"--tolerance must be finite and > 0, got {args.tolerance}")
     config = _load_config(args.config, None)
     report = cost_report(config)
     total = report.trainable_params + report.frozen_params
@@ -113,10 +114,10 @@ def cmd_gradcheck(args) -> int:
     worst = 0.0
     failed = []
     for name, err in errors.items():
-        status = "pass" if err < args.tolerance else "FAIL"
-        print(f"{status}  {err:.3e}  {name}")
+        passed = err < args.tolerance
+        print(f"{'pass' if passed else 'FAIL'}  {err:.3e}  {name}")
         worst = max(worst, err)
-        if err >= args.tolerance:
+        if not passed:
             failed.append(name)
     print(f"max relative error {worst:.3e} over {len(errors)} parameter groups (tolerance {args.tolerance:g})")
     return 0 if not failed else 2

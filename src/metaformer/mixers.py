@@ -47,8 +47,8 @@ class MixerConfig:
     kernel: int = 3
     heads: Optional[int] = None
 
-    def validate(self, path: str = "mixer", channels: Optional[int] = None) -> None:
-        """Check the fields this kind reads; with ``channels``, also their fit to that width."""
+    def validate(self, path: str, channels: int) -> None:
+        """Check the fields this kind reads, and their fit to a ``channels``-wide block."""
         if self.kind not in MIXER_KINDS:
             raise InvalidArgument(f"{path}.kind: unknown mixer {self.kind!r}, expected one of {MIXER_KINDS}")
         for name, check in MIXERS[self.kind].fields.items():
@@ -74,12 +74,10 @@ def _check_odd(value, what: str, channels: Optional[int] = None) -> None:
         raise InvalidArgument(f"{what}: must be a positive odd integer, got {value!r}")
 
 
-def _check_heads(heads, what: str, channels: Optional[int] = None) -> Optional[int]:
+def _check_heads(heads, what: str, channels: int) -> int:
     """The head count for ``channels`` (default C/32, at least 1), checked to divide it."""
     if heads is not None and (not _is_int(heads) or heads < 1):
         raise InvalidArgument(f"{what}: must be a positive integer, got {heads!r}")
-    if channels is None:
-        return heads
     if heads is None:
         heads = max(1, channels // HEAD_DIM)
     if channels % heads != 0:
@@ -330,5 +328,5 @@ def make_mixer(config: MixerConfig, channels: int, n_tokens: int, rng: np.random
     ``n_tokens`` binds resolution-dependent mixers (random matrix, spatial FC)
     to the build-time grid; other mixers ignore it.
     """
-    config.validate(channels=channels)
+    config.validate("mixer", channels)
     return MIXERS[config.kind].build(config, channels, n_tokens, rng, dtype)

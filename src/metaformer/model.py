@@ -89,6 +89,9 @@ class ModelConfig:
     input_size: int = 224
     variant: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if len(self.dims) != 4 or any(d < 1 for d in self.dims):
             raise ConfigError(f"dims: need 4 positive channel dims, got {self.dims}")
@@ -174,11 +177,9 @@ class ModelConfig:
         unknown = set(custom) - set(defaults)
         if unknown:
             raise ConfigError(f"config.custom: unknown fields {sorted(unknown)}")
-        cfg = ModelConfig(**{
+        return ModelConfig(**{
             key: _json_typed(value, defaults[key], f"config.custom.{key}") for key, value in custom.items()
         })
-        cfg.validate()
-        return cfg
 
 
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
@@ -234,7 +235,6 @@ class Model(Module):
     """
 
     def __init__(self, config: ModelConfig, seed: Optional[int], dtype="f32"):
-        config.validate()
         self.config = config
         rng = None if seed is None else child_rng(seed, 0)
         grids = stage_grids(config.input_size)

@@ -6,7 +6,8 @@ assigned them. Each leaf's class is fixed when it is constructed: a
 one built without it is frozen, a bare ``ndarray`` is a buffer. Child
 modules, and lists of them, are walked into. ``requires_grad`` itself only
 says whether a forward records a graph; ``requires_grad_`` switches it on
-the trainable leaves and never touches a frozen one.
+the trainable leaves and never touches a frozen one. ``is_training`` is
+the one reading of a forward's ``mode`` that every layer shares.
 """
 
 from __future__ import annotations
@@ -15,9 +16,16 @@ from typing import Iterator, Tuple, Union
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import InvalidArgument, Tensor
 
 Leaf = Union[Tensor, np.ndarray]
+
+
+def is_training(mode: str) -> bool:
+    """True for a forward in ``mode="train"``, False for ``"eval"``; every layer reads ``mode`` through this."""
+    if mode not in ("train", "eval"):
+        raise InvalidArgument(f"mode must be 'train' or 'eval', got {mode!r}")
+    return mode == "train"
 
 
 def _segment(attr: str) -> str:

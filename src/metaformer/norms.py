@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .module import Module
+from .module import Module, is_training
 from .tensor import InvalidArgument, Tensor, affine_norm
 
 BN_MOMENTUM = 0.1
@@ -60,7 +60,7 @@ class BatchNorm(_AffineNorm):
 
     def __call__(self, x: Tensor, mode: str = "eval") -> Tensor:
         c = self.channels
-        if mode == "train":
+        if is_training(mode):
             B, _, H, W = x.shape
             count = B * H * W
             if count < 2:

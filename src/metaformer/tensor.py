@@ -49,15 +49,10 @@ _ERF_Q = (3.8091755e-05, 0.0011625424, 0.014969269, 0.11410935, 0.50207657, 1.0)
 _ERF_BLOCK = 32768
 
 
-def _as_dtype(dtype) -> np.dtype:
-    if isinstance(dtype, str):
-        if dtype not in DTYPES:
-            raise InvalidArgument(f"unsupported dtype {dtype!r}, expected 'f32' or 'f64'")
-        return np.dtype(DTYPES[dtype])
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise InvalidArgument(f"unsupported dtype {dt}, expected float32 or float64")
-    return dt
+def _as_dtype(dtype: str) -> np.dtype:
+    if dtype not in DTYPES:
+        raise InvalidArgument(f"unsupported dtype {dtype!r}, expected 'f32' or 'f64'")
+    return np.dtype(DTYPES[dtype])
 
 
 class Tensor:
@@ -100,10 +95,6 @@ class Tensor:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
@@ -148,9 +139,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -159,14 +147,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self.dtype), self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, *shape):
         return reshape(self, *shape)
@@ -317,8 +299,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ------------------------------------------------------------------ shape ops
 
 def reshape(a: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     old = a.shape
 
     def backward(g):

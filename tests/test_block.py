@@ -4,6 +4,8 @@ import pytest
 from metaformer.block import BlockConfig, ChannelMlp, MetaFormerBlock, drop_path
 from metaformer.gradcheck import check_tensor_gradient
 from metaformer.mixers import MixerConfig
+from metaformer.model import ModelConfig, build
+from metaformer.norms import BatchNorm
 from metaformer.tensor import InvalidArgument, Tensor
 
 
@@ -63,6 +65,26 @@ def test_drop_path_rejects_p_out_of_range():
     for p in (1.0, 1.5, -0.1):
         with pytest.raises(InvalidArgument):
             drop_path(x, p, "train", rng64(7))
+    with pytest.raises(InvalidArgument, match="train mode requires an rng"):
+        drop_path(x, 0.5, "train", None)
+
+
+@pytest.mark.parametrize("mode", ["Train", "EVAL", "training", ""])
+def test_mode_other_than_train_or_eval_is_refused(mode):
+    # Drop path off everywhere and a BatchNorm: no layer may read an unknown
+    # mode as "train" for one purpose and as "eval" for another.
+    x = Tensor(np.random.default_rng(10).standard_normal((2, 8, 6, 6)))
+    model = build(ModelConfig(dims=(8, 8, 8, 8), depths=(1, 1, 1, 1), num_classes=4, input_size=32))
+    image = Tensor(np.zeros((2, 3, 32, 32), dtype=np.float32))
+    calls = (
+        lambda: model.forward(image, mode=mode, rng=rng64(11)),
+        lambda: make_block(norm="bn")(x, mode, rng64(11)),
+        lambda: BatchNorm(8, dtype="f64")(x, mode),
+        lambda: drop_path(x, 0.0, mode, rng64(11)),
+    )
+    for call in calls:
+        with pytest.raises(InvalidArgument, match=f"^mode must be 'train' or 'eval', got {mode!r}$"):
+            call()
 
 
 def test_drop_path_expectation_matches_identity():
@@ -83,6 +105,18 @@ def test_drop_path_scales_kept_samples():
 
 
 # -------------------------------------------------------------------- block
+
+def test_block_config_checks_itself_when_constructed():
+    with pytest.raises(InvalidArgument, match=r"^block\.activation: unknown activation 'tanh'"):
+        BlockConfig(activation="tanh")
+    with pytest.raises(InvalidArgument, match=r"^block\.drop_path_rate:"):
+        BlockConfig(drop_path_rate=1.0)
+    with pytest.raises(InvalidArgument, match=r"^block\.layer_scale_init:"):
+        BlockConfig(layer_scale_init=-1.0)
+    # The mixer is checked against the block's width by the block that builds it.
+    with pytest.raises(InvalidArgument, match=r"^mixer\.heads: channel dim 8 is not divisible by 3 heads"):
+        make_block(mixer=MixerConfig(kind="attention", heads=3))
+
 
 def test_block_identity_mixer_doubles_prenormalized_input():
     # gamma=1, beta=0, pre-normalized x, LayerScale off, zero MLP:

@@ -92,6 +92,33 @@ def test_describe_rejects_bad_config(tmp_path, capsys):
     assert "norm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_describe_input_size_below_32_exits_1_with_one_line(tmp_path, capsys, fmt):
+    for source in (["--variant", "S12"], ["--config", write_config(tmp_path)]):
+        assert run_main(["describe", *source, "--input-size", "16", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: input_size: must be >= 32, the smallest input a forward accepts, got 16"
+        ]
+
+
+@pytest.mark.parametrize("contents,message", [
+    (None, "cannot read config"),
+    ("{not json", "is not valid JSON"),
+])
+def test_unreadable_or_non_json_config_exits_1_with_one_line(tmp_path, capsys, contents, message):
+    path = tmp_path / "config.json"
+    if contents is not None:
+        path.write_text(contents)
+    for argv in (["describe"], ["gradcheck"], ["train-toy", "--steps", "1", "--out", str(tmp_path / "o.ckpt")]):
+        assert run_main(argv + ["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+
+
 def test_unknown_flag_rejected_with_usage(tmp_path, capsys):
     assert run_main(["describe", "--variant", "S12", "--bogus"]) == 1
     err = capsys.readouterr().err
@@ -213,6 +240,15 @@ def test_train_toy_out_of_range_values_exit_1_with_one_line(tmp_path, capsys, fl
     assert not ckpt.exists() and not (tmp_path / "out.ckpt.metrics.ndjson").exists()
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+def test_gradcheck_tolerance_not_finite_and_positive_exits_1_with_one_line(tmp_path, capsys, tolerance):
+    argv = ["gradcheck", "--config", write_config(tmp_path, MICRO_JSON), "--tolerance", tolerance]
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --tolerance must be finite and > 0, got {float(tolerance)}"]
+
+
 def test_gradcheck_negative_seed_exits_1_with_one_line(tmp_path, capsys):
     assert run_main(["gradcheck", "--config", write_config(tmp_path, MICRO_JSON), "--seed", "-1"]) == 1
     captured = capsys.readouterr()
@@ -262,6 +298,24 @@ def test_infer_resolution_mismatch_exits_1(tmp_path, ckpt_and_input, capsys):
     bad = str(tmp_path / "bad.mft")
     save_tensors(bad, {"input": np.zeros((1, 3, 16, 16), dtype=np.float32)})
     assert run_main(["infer", "--ckpt", ckpt, "--input", bad]) == 1
+
+
+@pytest.mark.parametrize("tensors,message", [
+    ({"image": np.zeros((1, 3, 32, 32), np.float32)}, "exactly one tensor named 'input', found ['image']"),
+    ({"input": np.zeros((1, 3, 32, 32), np.float32), "extra": np.zeros(1, np.float32)},
+     "exactly one tensor named 'input', found ['extra', 'input']"),
+    ({"input": np.zeros((3, 32, 32), np.float32)}, "shape [1, C, H, W], got [3, 32, 32]"),
+    ({"input": np.zeros((2, 3, 32, 32), np.float32)}, "shape [1, C, H, W], got [2, 3, 32, 32]"),
+])
+def test_infer_malformed_input_container_exits_1_with_one_line(tmp_path, ckpt_and_input, capsys, tensors, message):
+    ckpt, _ = ckpt_and_input
+    bad = str(tmp_path / "bad.mft")
+    save_tensors(bad, tensors)
+    assert run_main(["infer", "--ckpt", ckpt, "--input", bad]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

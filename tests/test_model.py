@@ -323,3 +323,25 @@ def test_config_validation_errors_carry_field_path():
         ModelConfig(drop_path=1.0).validate()
     with pytest.raises(ConfigError, match="norm"):
         ModelConfig(norm="instance").validate()
+    # Constructing an invalid config raises; no separate validate() call is needed.
+    for path, fields in [
+        (r"^dims:", dict(dims=(8, 8, 0, 8))),
+        (r"^dims:", dict(dims=(8, 8, 8))),
+        (r"^mixers: need one mixer per stage, got 3", dict(mixers=(MixerConfig(),) * 3)),
+        (r"^activation: unknown 'tanh'", dict(activation="tanh")),
+        (r"^layer_scale_init:", dict(layer_scale_init=0.0)),
+        (r"^num_classes: must be >= 1, got 0", dict(num_classes=0)),
+        (r"^in_channels: must be >= 1, got 0", dict(in_channels=0)),
+        (r"^input_size: .*got 16", dict(input_size=16)),
+    ]:
+        with pytest.raises(ConfigError, match=path):
+            ModelConfig(**fields)
+    ModelConfig(use_layer_scale=False, layer_scale_init=0.0)
+
+
+def test_forward_rejects_wrong_channel_count():
+    model = build(TINY, seed=0)
+    with pytest.raises(InvalidArgument, match=r"expected input \[B, 3, H, W\], got shape \(1, 4, 32, 32\)"):
+        model.forward(Tensor(np.zeros((1, 4, 32, 32), dtype=np.float32)))
+    with pytest.raises(InvalidArgument, match=r"expected input \[B, 3, H, W\]"):
+        model.forward(Tensor(np.zeros((3, 32, 32), dtype=np.float32)))
