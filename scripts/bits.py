@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Print sha256 digests of the training and serving bits.
 
-Four lines, one digest each:
+Six lines, one digest each:
 
 - the step losses of a 60-step tiny training run;
 - the final parameters of that run, by name, in container order;
-- the logits of a saved-then-loaded S12 at batch 1 and at batch 8 (224²).
+- the logits of a saved-then-loaded S12 at batch 1 and at batch 8 (224²);
+- the parameter gradients of one train-mode backward, drop path on, over
+  tiny configs that together use every mixer, norm and activation, in f32
+  and in f64, so the backward of every op a model records is covered.
 
 Run it on two checkouts and compare the output to see in one command
 whether a change moved any of these bits:
@@ -26,12 +29,15 @@ import numpy as np
 
 from metaformer import ModelConfig, build
 from metaformer.checkpoint import load, save
-from metaformer.tensor import Tensor
-from metaformer.train import tiny_train_config, train_loop
+from metaformer.mixers import MIXER_KINDS, MixerConfig
+from metaformer.norms import NORM_KINDS
+from metaformer.tensor import ACTIVATIONS, Tensor
+from metaformer.train import label_smoothing_ce, tiny_train_config, train_loop
 
 SEED = 0
 TRAIN_STEPS = 60
 S12_BATCHES = (1, 8)
+HYBRID_BATCH = 4
 
 
 def digest(chunks) -> str:
@@ -39,6 +45,30 @@ def digest(chunks) -> str:
     for chunk in chunks:
         h.update(chunk)
     return h.hexdigest()
+
+
+def hybrid_configs() -> list:
+    """One tiny 32² config per norm; together they use every mixer and activation, with drop path on."""
+    activations = tuple(ACTIVATIONS)
+    return [
+        ModelConfig(
+            dims=(8, 16, 16, 16), depths=(1, 1, 1, 1), num_classes=4, input_size=32,
+            mixers=tuple(MixerConfig(kind=MIXER_KINDS[(4 * i + s) % len(MIXER_KINDS)]) for s in range(4)),
+            norm=norm, activation=activations[i % len(activations)], drop_path=0.3,
+        )
+        for i, norm in enumerate(NORM_KINDS)
+    ]
+
+
+def hybrid_gradients(dtype: str) -> str:
+    images = np.random.default_rng(SEED).random((HYBRID_BATCH, 3, 32, 32))
+    chunks = []
+    for config in hybrid_configs():
+        model = build(config, seed=SEED, dtype=dtype)
+        logits = model.forward(Tensor(images, dtype=dtype), mode="train", rng=np.random.default_rng(SEED))
+        label_smoothing_ce(logits, np.arange(HYBRID_BATCH) % config.num_classes).backward()
+        chunks += [chunk for name, p in model.named_parameters() for chunk in (name.encode(), p.grad_array().tobytes())]
+    return digest(chunks)
 
 
 def main() -> None:
@@ -57,6 +87,8 @@ def main() -> None:
     for batch in S12_BATCHES:
         logits = model.forward(Tensor(images[:batch]), mode="eval").data
         print(f"S12 loaded, batch {batch} logits  {digest([logits.tobytes()])}")
+    for dtype in ("f32", "f64"):
+        print(f"hybrid configs, {dtype} train-backward parameter gradients  {hybrid_gradients(dtype)}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import numpy as np
 from .init import trunc_normal
 from .mixers import MixerConfig, make_mixer
 from .module import Module, is_training
-from .norms import make_norm
+from .norms import NORM_KINDS, make_norm
 from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d, residual_add
 
 MLP_RATIO = 4
@@ -42,6 +42,8 @@ class BlockConfig:
         self.validate()
 
     def validate(self) -> None:
+        if self.norm not in NORM_KINDS:
+            raise InvalidArgument(f"block.norm: unknown norm {self.norm!r}, expected one of {NORM_KINDS}")
         if self.activation not in ACTIVATIONS:
             raise InvalidArgument(
                 f"block.activation: unknown activation {self.activation!r}, expected one of {tuple(ACTIVATIONS)}"

@@ -9,6 +9,7 @@ L blocks distributes them [L/6, L/6, L/2, L/6] across stages.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,6 +94,9 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.name not in ("mixers", "variant"):  # mixers check their own fields below
+                _check_type(getattr(self, f.name), f.default, f.name)
         if len(self.dims) != 4 or any(d < 1 for d in self.dims):
             raise ConfigError(f"dims: need 4 positive channel dims, got {self.dims}")
         if len(self.depths) != 4 or any(d < 1 for d in self.depths):
@@ -177,24 +181,35 @@ class ModelConfig:
         unknown = set(custom) - set(defaults)
         if unknown:
             raise ConfigError(f"config.custom: unknown fields {sorted(unknown)}")
-        return ModelConfig(**{
-            key: _json_typed(value, defaults[key], f"config.custom.{key}") for key, value in custom.items()
-        })
+        kwargs = {key: _from_json(value, defaults[key], f"config.custom.{key}") for key, value in custom.items()}
+        try:
+            return ModelConfig(**kwargs)
+        except ConfigError as e:
+            raise ConfigError(f"config.custom.{e}") from e
 
 
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+_SCALAR_TYPES = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
 
 
-def _json_typed(value, default, path: str):
-    """``value`` read from JSON, checked to have the JSON type of the field's ``default``."""
+def _check_type(value, default, path: str) -> None:
+    """Refuse ``value`` unless it has the type of the field's ``default``; a bool is never a number here."""
+    if isinstance(default, tuple):
+        if not isinstance(value, tuple):
+            raise ConfigError(f"{path}: expected a tuple, got {value!r}")
+        for i, v in enumerate(value):
+            _check_type(v, default[0], f"{path}[{i}]")
+    elif not isinstance(value, _SCALAR_TYPES[type(default)]) or isinstance(value, bool) != isinstance(default, bool):
+        raise ConfigError(f"{path}: expected {type(default).__name__}, got {value!r}")
+
+
+def _from_json(value, default, path: str):
+    """``value`` read from JSON as the field's Python value: lists become tuples, mixer objects ``MixerConfig``s."""
     if isinstance(default, tuple):
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
-        return tuple(_json_typed(v, default[0], f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_from_json(v, default[0], f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(default, MixerConfig):
         return _mixer_from_json(value, path)
-    if not isinstance(value, _JSON_TYPES[type(default)]) or isinstance(value, bool) != isinstance(default, bool):
-        raise ConfigError(f"{path}: expected {type(default).__name__}, got {value!r}")
     return value
 
 

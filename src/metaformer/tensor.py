@@ -1,9 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are numpy arrays (f32 or f64, channel-first [B, C, H, W] for images).
-Every operation records the backward closure needed to propagate vector-
-Jacobian products through a dynamically built DAG; ``Tensor.backward`` walks
-the recorded graph once, in reverse topological order.
+Every operation records its parents and a backward closure that maps the
+gradient of its output to one vector-Jacobian product per parent, in the
+order of the parents. ``Tensor.backward`` walks the recorded graph once, in
+reverse topological order, and is the one place that adds those products
+into the parents' gradients: it sums a product over the axes its parent was
+broadcast along, casts it to the parent's dtype and skips parents that
+record no graph. A parent listed twice gets its two products added in list
+order.
 
 Kernel choices: k x k pooling is a separable box sum (k-1 row-shifted adds,
 then k-1 column-shifted adds); conv2d is im2col into K-major columns
@@ -127,7 +132,8 @@ class Tensor:
         _accum(self, np.ones_like(self.data))
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+                for parent, g in zip(node._parents, node._backward_fn(node.grad)):
+                    _accum(parent, g)
                 node.grad = None
 
     # ----------------------------------------------------------- operators
@@ -183,9 +189,11 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accum(t: Tensor, g: Optional[np.ndarray]) -> None:
+    if g is None or not t.requires_grad:
         return
+    if g.shape != t.data.shape:
+        g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=True)
     else:
@@ -193,7 +201,13 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    """Graph node for ``data``; ``backward(g)`` runs only if a parent requires grad."""
+    """Graph node for ``data``; ``backward(g)`` runs only if a parent requires grad.
+
+    ``backward(g)`` returns one gradient per entry of ``parents``, in order,
+    or ``None`` for an entry that gets none; a gradient may have the
+    broadcast shape of the op rather than its parent's. A tensor may be
+    listed twice, and its two gradients are added in list order.
+    """
     node = Tensor.__new__(Tensor)
     node.data = data
     node.grad = None
@@ -232,54 +246,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     b = _wrap(b, a.dtype)
     _check_same_dtype(a, b, "add")
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
-
-    return _make(a.data + b.data, (a, b), backward)
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _wrap(b, a.dtype)
     _check_same_dtype(a, b, "sub")
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(a.data - b.data, (a, b), backward)
+    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _wrap(b, a.dtype)
     _check_same_dtype(a, b, "mul")
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(a.data * b.data, (a, b), backward)
+    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _wrap(b, a.dtype)
     _check_same_dtype(a, b, "div")
-
-    def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(a.data / b.data, (a, b), backward)
+    return _make(a.data / b.data, (a, b), lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def sqrt(a: Tensor) -> Tensor:
     root = np.sqrt(a.data)
-
-    def backward(g):
-        _accum(a, g * (0.5 / root))
-
-    return _make(root, (a,), backward)
+    return _make(root, (a,), lambda g: (g * (0.5 / root),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -288,10 +278,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise InvalidArgument(f"matmul: operands must be at least 2-D, got {a.ndim}-D and {b.ndim}-D")
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accum(a, _unbroadcast(ga, a.shape))
-        _accum(b, _unbroadcast(gb, b.shape))
+        return np.matmul(g, np.swapaxes(b.data, -1, -2)), np.matmul(np.swapaxes(a.data, -1, -2), g)
 
     return _make(np.matmul(a.data, b.data), (a, b), backward)
 
@@ -300,18 +287,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, *shape) -> Tensor:
     old = a.shape
-
-    def backward(g):
-        _accum(a, g.reshape(old))
-
-    return _make(a.data.reshape(shape), (a,), backward)
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    def backward(g):
-        _accum(a, np.swapaxes(g, ax1, ax2))
-
-    return _make(np.swapaxes(a.data, ax1, ax2).copy(), (a,), backward)
+    return _make(np.swapaxes(a.data, ax1, ax2).copy(), (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -326,18 +306,15 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[index] = g
-        _accum(a, full)
+        return (full,)
 
     return _make(a.data[index].copy(), (a,), backward)
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
-
-    def backward(g):
-        _accum(a, _expand_reduced(g, a.shape, axes, keepdims))
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                 lambda g: (_expand_reduced(g, a.shape, axes, keepdims),))
 
 
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -345,11 +322,8 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = 1
     for ax in axes:
         count *= a.shape[ax]
-
-    def backward(g):
-        _accum(a, _expand_reduced(g, a.shape, axes, keepdims) / count)
-
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,),
+                 lambda g: (_expand_reduced(g, a.shape, axes, keepdims) / count,))
 
 
 def _norm_axes(axis, ndim: int) -> tuple:
@@ -370,10 +344,7 @@ def _expand_reduced(g: np.ndarray, shape: tuple, axes: tuple, keepdims: bool) ->
 # ------------------------------------------------------------------ activations
 
 def relu(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, g * (a.data > 0))
-
-    return _make(np.maximum(a.data, 0.0), (a,), backward)
+    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def _horner(z: np.ndarray, coeffs: tuple, acc: np.ndarray) -> None:
@@ -438,7 +409,7 @@ def gelu(a: Tensor) -> Tensor:
         d *= x
         d += cdf
         d *= g
-        _accum(a, d)
+        return (d,)
 
     return _make(x * cdf, (a,), backward)
 
@@ -446,11 +417,7 @@ def gelu(a: Tensor) -> Tensor:
 def silu(a: Tensor) -> Tensor:
     x = a.data
     sig = 1.0 / (1.0 + np.exp(-x))
-
-    def backward(g):
-        _accum(a, g * (sig * (1.0 + x * (1.0 - sig))))
-
-    return _make(x * sig, (a,), backward)
+    return _make(x * sig, (a,), lambda g: (g * (sig * (1.0 + x * (1.0 - sig))),))
 
 
 ACTIVATIONS = {"gelu": gelu, "relu": relu, "silu": silu}
@@ -464,7 +431,7 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(a, y * (g - dot))
+        return (y * (g - dot),)
 
     return _make(y, (a,), backward)
 
@@ -473,11 +440,7 @@ def log_softmax_lastdim(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     soft = np.exp(shifted - lse)
-
-    def backward(g):
-        _accum(a, g - soft * g.sum(axis=-1, keepdims=True))
-
-    return _make(shifted - lse, (a,), backward)
+    return _make(shifted - lse, (a,), lambda g: (g - soft * g.sum(axis=-1, keepdims=True),))
 
 
 # ------------------------------------------------------------------ MetaFormer frame
@@ -487,13 +450,17 @@ def _channel_shape(channels: int, ndim: int) -> tuple:
 
 
 def affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, moments=None) -> tuple:
-    """(gamma * (x - mu) / sqrt(var + eps) + beta, mu, var) as one node with parents (x, gamma, beta).
+    """(gamma * (x - mu) / sqrt(var + eps) + beta, mu, var) as one node.
 
     gamma and beta are per channel (axis 1); mu and the biased variance var
     are taken over ``axes`` with kept dims. ``moments=(mu, var)`` supplies
     fixed moments instead (BatchNorm eval), which the gradient treats as
     constants. Forward and backward run the numpy operations of the chain
     mean, sub, mul, mean, add, sqrt, div, mul, add in that chain's order.
+    The node's parents are (x, gamma, beta, x) with batch moments, x's
+    second entry taking the term through the mean after the one through
+    the centring, as the chain adds them; with fixed moments they are
+    (x, gamma, beta).
     """
     _check_same_dtype(x, gamma, "affine_norm")
     xd = x.data
@@ -511,34 +478,34 @@ def affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, moment
     d *= g_r
     d += b_r
     count = xd.size // mu.size  # elements per moment
+    parents = (x, gamma, beta) if moments is not None else (x, gamma, beta, x)
 
     def backward(g):
         centred = xd - mu
-        _accum(gamma, _unbroadcast(g * (centred / root), affine).reshape(gamma.shape))
-        _accum(beta, _unbroadcast(g, affine).reshape(beta.shape))
-        if not x.requires_grad:
-            return
-        g_xhat = g * g_r
-        g_centred = g_xhat / root
-        if moments is None:
-            g_root = -g_xhat
-            g_root *= centred
-            g_root /= root * root
-            g_var = _unbroadcast(g_root, root.shape) * (0.5 / root)
-            g_sq = np.broadcast_to(g_var, xd.shape) / count
-            g_sq *= centred
-            g_centred += g_sq  # d feeds d * d twice
-            g_centred += g_sq
-        _accum(x, g_centred)
-        if moments is None:
-            _accum(x, np.broadcast_to(_unbroadcast(-g_centred, mu.shape), xd.shape) / count)
+        g_gamma = _unbroadcast(g * (centred / root), affine).reshape(gamma.shape)
+        g_beta = _unbroadcast(g, affine).reshape(beta.shape)
+        g_centred = g_mean = None
+        if x.requires_grad:
+            g_xhat = g * g_r
+            g_centred = g_xhat / root
+            if moments is None:
+                g_root = -g_xhat
+                g_root *= centred
+                g_root /= root * root
+                g_var = _unbroadcast(g_root, root.shape) * (0.5 / root)
+                g_sq = np.broadcast_to(g_var, xd.shape) / count
+                g_sq *= centred
+                g_centred += g_sq  # d feeds d * d twice
+                g_centred += g_sq
+                g_mean = np.broadcast_to(_unbroadcast(-g_centred, mu.shape), xd.shape) / count
+        return (g_centred, g_gamma, g_beta, g_mean)[: len(parents)]
 
-    return _make(d, (x, gamma, beta), backward), mu, var
+    return _make(d, parents, backward), mu, var
 
 
 def residual_add(x: Optional[Tensor], h: Tensor, scale: Optional[Tensor] = None,
                  mask: Optional[np.ndarray] = None) -> Tensor:
-    """x + (h * scale) * mask as one node with parents (x, h, scale); x has h's shape.
+    """x + (h * scale) * mask as one node with parents (x, h, scale), less the ``None`` ones; x has h's shape.
 
     ``scale`` is per channel (axis 1, LayerScale) and ``mask`` a constant
     array broadcast against h (drop path); a ``None`` term is left out, and
@@ -559,15 +526,12 @@ def residual_add(x: Optional[Tensor], h: Tensor, scale: Optional[Tensor] = None,
         out = np.add(x.data, out, out=None if out is h.data else out)
 
     def backward(g):
-        if x is not None:
-            _accum(x, g)
+        g_x = () if x is None else (g,)
         if mask is not None:
             g = g * mask
         if scale is None:
-            _accum(h, g)
-        else:
-            _accum(h, g * s_r)
-            _accum(scale, _unbroadcast(g * h.data, s_r.shape).reshape(scale.shape))
+            return g_x + (g,)
+        return g_x + (g * s_r, _unbroadcast(g * h.data, s_r.shape).reshape(scale.shape))
 
     return _make(out, tuple(t for t in (x, h, scale) if t is not None), backward)
 
@@ -638,19 +602,19 @@ def conv2d(
 
     def backward(g):
         g_g = g.transpose(1, 0, 2, 3).reshape(groups, cout // groups, B * hout * wout)
+        g_x = g_w = None
         if weight.requires_grad:
-            _accum(weight, np.matmul(g_g, _im2col(win, groups).swapaxes(1, 2)).reshape(weight.shape))
+            g_w = np.matmul(g_g, _im2col(win, groups).swapaxes(1, 2)).reshape(weight.shape)
         if x.requires_grad and direct:
-            _accum(x, np.matmul(w_g[0].T, g.reshape(B, cout, H * W)).reshape(x.shape))
+            g_x = np.matmul(w_g[0].T, g.reshape(B, cout, H * W)).reshape(x.shape)
         elif x.requires_grad:
             gcols = np.matmul(w_g.swapaxes(1, 2), g_g).reshape(cin, kh, kw, B, hout, wout)
             gp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
                     gp[:, :, i : i + sh * hout : sh, j : j + sw * wout : sw] += gcols[:, i, j].transpose(1, 0, 2, 3)
-            _accum(x, gp[:, :, ph : ph + H, pw : pw + W])
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
+            g_x = gp[:, :, ph : ph + H, pw : pw + W]
+        return (g_x, g_w) if bias is None else (g_x, g_w, g.sum(axis=(0, 2, 3)))
 
     return _make(y, parents, backward)
 
@@ -679,7 +643,7 @@ def avg_pool2d_excl(x: Tensor, k: int) -> Tensor:
 
     def backward(g):
         # The zero-padded box sum is self-adjoint.
-        _accum(x, _box_sum(g / count, p))
+        return (_box_sum(g / count, p),)
 
     return _make(y, (x,), backward)
 

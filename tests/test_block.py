@@ -107,6 +107,8 @@ def test_drop_path_scales_kept_samples():
 # -------------------------------------------------------------------- block
 
 def test_block_config_checks_itself_when_constructed():
+    with pytest.raises(InvalidArgument, match=r"^block\.norm: unknown norm 'instance'"):
+        BlockConfig(norm="instance")
     with pytest.raises(InvalidArgument, match=r"^block\.activation: unknown activation 'tanh'"):
         BlockConfig(activation="tanh")
     with pytest.raises(InvalidArgument, match=r"^block\.drop_path_rate:"):

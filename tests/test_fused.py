@@ -53,7 +53,8 @@ def test_affine_norm_is_one_node_that_keeps_its_input_unchanged():
     gamma = Tensor(np.ones(3), dtype="f32", requires_grad=True)
     beta = Tensor(np.zeros(3), dtype="f32", requires_grad=True)
     y, _, _ = affine_norm(x, gamma, beta, (1, 2, 3), 1e-5)
-    assert y._parents == (x, gamma, beta)
+    # Batch moments: x is listed again for its term through the mean, added after the centring's.
+    assert y._parents == (x, gamma, beta, x)
     assert_same(x.data, before)
 
 

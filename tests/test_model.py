@@ -333,6 +333,10 @@ def test_config_validation_errors_carry_field_path():
         (r"^num_classes: must be >= 1, got 0", dict(num_classes=0)),
         (r"^in_channels: must be >= 1, got 0", dict(in_channels=0)),
         (r"^input_size: .*got 16", dict(input_size=16)),
+        # The types JSON is checked for are checked in Python too, by the same rule.
+        (r"^input_size: expected int, got 32\.5", dict(input_size=32.5)),
+        (r"^use_residual: expected bool, got 'no'", dict(use_residual="no")),
+        (r"^num_classes: expected int, got 4\.0", dict(num_classes=4.0)),
     ]:
         with pytest.raises(ConfigError, match=path):
             ModelConfig(**fields)

@@ -466,24 +466,35 @@ OPS_UNDER_GRADCHECK = {
     "mean": lambda x, aux: x.mean(axis=(2, 3), keepdims=True),
     "add_mul_div": lambda x, aux: (x * x + x) / (x * x + Tensor(np.full((1,), 2.0))),
     "swapaxes": lambda x, aux: x.swapaxes(1, 3) * aux["p"],
-    "affine_norm_mln": lambda x, aux: affine_norm(x, *_frame_params(4), (1, 2, 3), 1e-5)[0],
-    "affine_norm_ln": lambda x, aux: affine_norm(x, *_frame_params(4), 1, 1e-5)[0],
-    "affine_norm_bn_train": lambda x, aux: affine_norm(x, *_frame_params(4), (0, 2, 3), 1e-5)[0],
-    "affine_norm_bn_eval": lambda x, aux: affine_norm(x, *_frame_params(4), (0, 2, 3), 1e-5, _BN_MOMENTS)[0],
-    "residual_add": lambda x, aux: residual_add(x, gelu(x), _frame_params(4)[0], _DROP_MASK),
+    "add_broadcast": lambda x, aux: x + aux["c"],
+    "sub_broadcast": lambda x, aux: aux["c3"] - x,
+    "mul_broadcast": lambda x, aux: x * aux["c"],
+    "div_broadcast": lambda x, aux: x / aux["d3"],
+    "affine_norm_mln": lambda x, aux: affine_norm(x, aux["gamma"], aux["beta"], (1, 2, 3), 1e-5)[0],
+    "affine_norm_ln": lambda x, aux: affine_norm(x, aux["gamma"], aux["beta"], 1, 1e-5)[0],
+    "affine_norm_bn_train": lambda x, aux: affine_norm(x, aux["gamma"], aux["beta"], (0, 2, 3), 1e-5)[0],
+    "affine_norm_bn_eval": lambda x, aux: affine_norm(x, aux["gamma"], aux["beta"], (0, 2, 3), 1e-5, _BN_MOMENTS)[0],
+    "residual_add": lambda x, aux: residual_add(x, gelu(x), aux["gamma"], _DROP_MASK),
     "residual_add_no_scale": lambda x, aux: residual_add(x, x * x),
 }
 
-# Fixed operands of the fused frame ops, drawn apart from ``rng`` so that the
-# coordinates every other op is checked at stay as they were.
+# Fixed operands of the fused frame ops and the per-channel operands of the
+# broadcasting ops ([1, C, 1, 1] and [C, 1, 1] against x's [B, C, H, W]),
+# drawn apart from ``rng`` so that the coordinates every other op is checked
+# at stay as they were.
 _BN_MOMENTS = (np.full((1, 4, 1, 1), 0.3), np.full((1, 4, 1, 1), 1.7))
 _DROP_MASK = np.array([0.0, 2.5]).reshape(2, 1, 1, 1)
 
 
-def _frame_params(channels):
-    rng = np.random.default_rng(11)
-    return (Tensor(1.0 + 0.3 * rng.standard_normal(channels), dtype="f64", requires_grad=True),
-            Tensor(0.3 * rng.standard_normal(channels), dtype="f64", requires_grad=True))
+def _own_operands():
+    frame, channel = np.random.default_rng(11), np.random.default_rng(12)
+    return {
+        "gamma": Tensor(1.0 + 0.3 * frame.standard_normal(4), dtype="f64", requires_grad=True),
+        "beta": Tensor(0.3 * frame.standard_normal(4), dtype="f64", requires_grad=True),
+        "c": Tensor(channel.standard_normal((1, 4, 1, 1)), dtype="f64", requires_grad=True),
+        "c3": Tensor(channel.standard_normal((4, 1, 1)), dtype="f64", requires_grad=True),
+        "d3": Tensor(1.0 + channel.random((4, 1, 1)), dtype="f64", requires_grad=True),
+    }
 
 
 def _aux(rng):
@@ -506,7 +517,7 @@ def test_per_op_gradients_match_finite_differences(name):
         if name == "relu":
             xdata = xdata + 0.2 * np.sign(xdata)  # keep clear of the kink
         x = Tensor(xdata, dtype="f64", requires_grad=True)
-        aux = _aux(rng)
+        aux = {**_aux(rng), **_own_operands()}
 
         def loss():
             out = op(x, aux)
@@ -515,6 +526,11 @@ def test_per_op_gradients_match_finite_differences(name):
 
         coords = [tuple(rng.integers(0, s) for s in x.shape) for _ in range(8)]
         assert check_tensor_gradient(loss, x, coords=coords) < 1e-4, f"{name} seed {seed}"
+        # The backward above gave a gradient to exactly the aux leaves the op differentiates.
+        for key, leaf in aux.items():
+            if leaf.grad is not None:
+                leaf_coords = [tuple(rng.integers(0, s) for s in leaf.shape) for _ in range(8)]
+                assert check_tensor_gradient(loss, leaf, coords=leaf_coords) < 1e-4, f"{name} seed {seed} {key}"
 
 
 def test_backward_visits_shared_nodes_once():
