@@ -5,8 +5,9 @@ Criterion 9 of the acceptance gate judges one 300-step run at seed 0 by
 its last batch, so any bit change on the training path rerolls its
 outcome. This sweep shows the spread that the gate samples once: for each
 seed it prints the loss ratio (last / first step), the last batch's
-accuracy, whether the gate's bounds hold, and the mean loss over the last
-20 steps; then the pass count and that mean over all seeds.
+accuracy, whether the gate's bounds hold, the mean loss over the last 20
+steps and the run's wall seconds; then the pass count and that mean over
+all seeds.
 
     PYTHONPATH=src python scripts/seed_sweep.py --seeds 12
 
@@ -19,6 +20,7 @@ tool and not a test.
 
 import argparse
 import statistics
+import time
 
 from metaformer.train import tiny_train_config, train_loop
 
@@ -34,16 +36,19 @@ def main() -> None:
     args = ap.parse_args()
 
     passed, tails = 0, []
-    print(f"{'seed':>6} {'ratio':>7} {'acc':>6} {'pass':>5} {f'mean last {TAIL}':>13}")
+    print(f"{'seed':>6} {'ratio':>7} {'acc':>6} {'pass':>5} {f'mean last {TAIL}':>13} {'wall s':>7}")
     for seed in range(args.seeds):
+        start = time.perf_counter()
         result = train_loop(tiny_train_config(), steps=STEPS, batch_size=BATCH_SIZE, seed=seed,
                             lr_peak=LR_PEAK, label_smoothing=0.0)
+        wall = time.perf_counter() - start
         losses = [m["loss"] for m in result.metrics]
         ratio, acc = losses[-1] / losses[0], result.metrics[-1]["train_acc"]
         ok = ratio < MAX_LOSS_RATIO and acc >= MIN_ACCURACY
         passed += ok
         tails.append(statistics.fmean(losses[-TAIL:]))
-        print(f"{seed:>6} {ratio:>7.3f} {acc:>6.3f} {'yes' if ok else 'NO':>5} {tails[-1]:>13.4f}", flush=True)
+        print(f"{seed:>6} {ratio:>7.3f} {acc:>6.3f} {'yes' if ok else 'NO':>5} {tails[-1]:>13.4f} {wall:>7.1f}",
+              flush=True)
     print(f"passed {passed}/{args.seeds}; mean loss over the last {TAIL} steps {statistics.fmean(tails):.4f}")
 
 

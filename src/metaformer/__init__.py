@@ -8,7 +8,7 @@ layer. Everything runs on a small numpy autodiff core.
 """
 
 from .analysis import CostReport, StageCost, cost_report, count_macs, count_params
-from .block import BlockConfig, ChannelMlp, MetaFormerBlock, drop_path
+from .block import ChannelMlp, MetaFormerBlock, drop_path
 from .checkpoint import (
     CheckpointCorruptionError,
     CheckpointFormatError,
@@ -63,7 +63,6 @@ __all__ = [
     "AdamW",
     "AttentionMixer",
     "BatchNorm",
-    "BlockConfig",
     "ChannelLayerNorm",
     "ChannelMlp",
     "CheckpointCorruptionError",

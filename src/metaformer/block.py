@@ -13,45 +13,20 @@ node (``tensor.affine_norm``, ``tensor.residual_add``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .init import trunc_normal
-from .mixers import MixerConfig, make_mixer
+from .mixers import make_mixer
 from .module import Module, is_training
-from .norms import NORM_KINDS, make_norm
+from .norms import make_norm
 from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d, residual_add
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 MLP_RATIO = 4
-
-
-@dataclass(frozen=True)
-class BlockConfig:
-    mixer: MixerConfig = field(default_factory=MixerConfig)
-    norm: str = "mln"
-    activation: str = "gelu"
-    use_residual: bool = True
-    use_channel_mlp: bool = True
-    use_layer_scale: bool = True
-    layer_scale_init: float = 1e-5
-    drop_path_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if self.norm not in NORM_KINDS:
-            raise InvalidArgument(f"block.norm: unknown norm {self.norm!r}, expected one of {NORM_KINDS}")
-        if self.activation not in ACTIVATIONS:
-            raise InvalidArgument(
-                f"block.activation: unknown activation {self.activation!r}, expected one of {tuple(ACTIVATIONS)}"
-            )
-        if not 0.0 <= self.drop_path_rate < 1.0:
-            raise InvalidArgument(f"block.drop_path_rate: must lie in [0, 1), got {self.drop_path_rate}")
-        if self.use_layer_scale and self.layer_scale_init <= 0:
-            raise InvalidArgument(f"block.layer_scale_init: must be > 0 when enabled, got {self.layer_scale_init}")
 
 
 class ChannelMlp(Module):
@@ -94,20 +69,20 @@ def drop_path(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]
 
 
 class MetaFormerBlock(Module):
-    def __init__(
-        self,
-        channels: int,
-        config: BlockConfig,
-        rng: np.random.Generator,
-        n_tokens: int = 0,
-        dtype="f32",
-    ):
+    """Block of stage ``stage`` of ``config``: its width, mixer and switches, and drop path at ``drop_path_rate``."""
+
+    def __init__(self, config: ModelConfig, stage: int, drop_path_rate: float, rng: np.random.Generator,
+                 n_tokens: int = 0, dtype="f32"):
+        if not 0.0 <= drop_path_rate < 1.0:
+            raise InvalidArgument(f"block.drop_path_rate: must lie in [0, 1), got {drop_path_rate}")
+        channels = config.dims[stage]
         self.channels = channels
         self.config = config
+        self.drop_path_rate = drop_path_rate
         mlp, ls, init = config.use_channel_mlp, config.use_layer_scale, config.layer_scale_init
         # Assignment order is checkpoint order (see Module).
         self.norm1 = make_norm(config.norm, channels, dtype=dtype)
-        self.mixer = make_mixer(config.mixer, channels, n_tokens, rng, dtype=dtype)
+        self.mixer = make_mixer(config.mixers[stage], channels, n_tokens, rng, dtype=dtype)
         self.ls1 = Tensor(np.full(channels, init), requires_grad=True, dtype=dtype) if ls else None
         self.norm2 = make_norm(config.norm, channels, dtype=dtype) if mlp else None
         self.mlp = ChannelMlp(channels, config.activation, rng, dtype=dtype) if mlp else None
@@ -115,9 +90,8 @@ class MetaFormerBlock(Module):
 
     def _residual(self, x: Tensor, h: Tensor, ls: Optional[Tensor], mode: str, rng) -> Tensor:
         """x + drop_path(ls * h), without the "x +" when the residual is off; one graph node."""
-        cfg = self.config
-        mask = _drop_mask(h, cfg.drop_path_rate, mode, rng)
-        return residual_add(x if cfg.use_residual else None, h, ls, mask)
+        mask = _drop_mask(h, self.drop_path_rate, mode, rng)
+        return residual_add(x if self.config.use_residual else None, h, ls, mask)
 
     def __call__(self, x: Tensor, mode: str = "eval", rng: Optional[np.random.Generator] = None) -> Tensor:
         y = self._residual(x, self.mixer(self.norm1(x, mode)), self.ls1, mode, rng)

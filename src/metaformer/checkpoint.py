@@ -19,8 +19,8 @@ marks tensors the optimizer never updates (frozen mixer weights, running
 statistics). Loading checks the header and every manifest entry against the
 file's size first, then builds the model from the embedded config without a
 random init and reads each tensor's payload bytes from the file straight into
-its array, bit-exactly; it never runs model math, and the model it returns
-records no graph.
+its array, bit-exactly, refusing a tensor that holds a NaN or an infinity; it
+never runs model math, and the model it returns records no graph.
 """
 
 from __future__ import annotations
@@ -184,9 +184,10 @@ def load(path: str) -> Model:
 
     Every check on the manifest runs before any payload byte is read. The
     model is built without a random init (``Model(config, None)``) and each
-    tensor is read from the file straight into its array. The model is
-    returned for serving: its forwards record no autodiff graph. Call
-    ``requires_grad_(True)`` on it to train or fine-tune it.
+    tensor is read from the file straight into its array, then checked to be
+    finite. The model is returned for serving: its forwards record no
+    autodiff graph. Call ``requires_grad_(True)`` on it to train or fine-tune
+    it.
     """
     with _open(path) as f:
         manifest, entries = _read_manifest(f, path)
@@ -221,7 +222,10 @@ def load(path: str) -> Model:
                     f"{path!r}: tensor {name!r} has shape {shape}, model expects {arr.shape}"
                 )
         for name, (_, offset) in entries.items():
-            _read_into(f, path, name, offset, state[name][0])
+            arr = state[name][0]
+            _read_into(f, path, name, offset, arr)
+            if not np.isfinite(arr).all():  # checked while the tensor is still in cache
+                raise CheckpointCorruptionError(f"{path!r}: tensor {name!r} holds a non-finite value")
     return model.requires_grad_(False)
 
 

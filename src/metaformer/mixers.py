@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -46,6 +46,13 @@ class MixerConfig:
     pool_size: int = 3
     kernel: int = 3
     heads: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # Reset the fields this kind does not read, so that configs of the same mixer compare equal.
+        if self.kind in MIXER_KINDS:
+            for f in fields(self):
+                if f.name != "kind" and f.name not in MIXERS[self.kind].fields:
+                    object.__setattr__(self, f.name, f.default)
 
     def validate(self, path: str, channels: int) -> None:
         """Check the fields this kind reads, and their fit to a ``channels``-wide block."""

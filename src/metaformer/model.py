@@ -9,15 +9,16 @@ L blocks distributes them [L/6, L/6, L/2, L/6] across stages.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .block import BlockConfig, MetaFormerBlock
+from .block import MetaFormerBlock
 from .init import child_rng, trunc_normal
-from .mixers import MIXER_KINDS, MIXERS, MixerConfig
+from .mixers import MixerConfig
 from .module import Module
 from .norms import NORM_KINDS, make_norm
 from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d, conv_out_size, matmul
@@ -88,15 +89,13 @@ class ModelConfig:
     num_classes: int = 1000
     in_channels: int = 3
     input_size: int = 224
-    variant: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
         for f in fields(self):
-            if f.name not in ("mixers", "variant"):  # mixers check their own fields below
-                _check_type(getattr(self, f.name), f.default, f.name)
+            _check_type(getattr(self, f.name), f.default, f.name)
         if len(self.dims) != 4 or any(d < 1 for d in self.dims):
             raise ConfigError(f"dims: need 4 positive channel dims, got {self.dims}")
         if len(self.depths) != 4 or any(d < 1 for d in self.depths):
@@ -114,8 +113,9 @@ class ModelConfig:
             raise ConfigError(f"activation: unknown {self.activation!r}, expected one of {tuple(ACTIVATIONS)}")
         if not 0.0 <= self.drop_path < 1.0:
             raise ConfigError(f"drop_path: must lie in [0, 1), got {self.drop_path}")
-        if self.use_layer_scale and self.layer_scale_init <= 0:
-            raise ConfigError(f"layer_scale_init: must be > 0 when layer scale is enabled, got {self.layer_scale_init}")
+        if self.use_layer_scale and not 0 < self.layer_scale_init < math.inf:
+            raise ConfigError(f"layer_scale_init: must be finite and > 0 with layer scale on, "
+                              f"got {self.layer_scale_init}")
         if self.num_classes < 1:
             raise ConfigError(f"num_classes: must be >= 1, got {self.num_classes}")
         if self.in_channels < 1:
@@ -130,6 +130,11 @@ class ModelConfig:
         return sum(self.depths)
 
     # -------------------------------------------------------------- variants
+    @property
+    def variant(self) -> Optional[str]:
+        """The name of the variant this config equals, or None."""
+        return next((name for name in _VARIANT_TABLE if self == ModelConfig.variant_named(name)), None)
+
     @staticmethod
     def variant_named(name: str, num_classes: int = 1000) -> "ModelConfig":
         if name not in _VARIANT_TABLE:
@@ -144,19 +149,18 @@ class ModelConfig:
             layer_scale_init=ls_init,
             drop_path=peak_dp,
             num_classes=num_classes,
-            variant=name,
         )
 
     def with_mixers(self, kinds: Sequence[str], norm: Optional[str] = None) -> "ModelConfig":
         """Same architecture with per-stage mixer kinds swapped (ablation helper)."""
         mixers = tuple(MixerConfig(kind=k) for k in kinds)
-        return replace(self, mixers=mixers, norm=norm or self.norm, variant=None)
+        return replace(self, mixers=mixers, norm=norm or self.norm)
 
     # ------------------------------------------------------------------ JSON
     def to_json_dict(self) -> dict:
-        if self.variant in _VARIANT_TABLE and self == ModelConfig.variant_named(self.variant):
+        if self.variant is not None:
             return {"variant": self.variant}
-        custom = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "variant"}
+        custom = {f.name: getattr(self, f.name) for f in fields(self)}
         custom["dims"], custom["depths"] = list(self.dims), list(self.depths)
         custom["mixers"] = [m.to_json_dict() for m in self.mixers]
         return {"custom": custom}
@@ -177,7 +181,7 @@ class ModelConfig:
         custom = obj["custom"]
         if not isinstance(custom, dict):
             raise ConfigError("config.custom: expected an object")
-        defaults = {f.name: f.default for f in fields(ModelConfig) if f.name != "variant"}
+        defaults = {f.name: f.default for f in fields(ModelConfig)}
         unknown = set(custom) - set(defaults)
         if unknown:
             raise ConfigError(f"config.custom: unknown fields {sorted(unknown)}")
@@ -188,7 +192,7 @@ class ModelConfig:
             raise ConfigError(f"config.custom.{e}") from e
 
 
-_SCALAR_TYPES = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
+_SCALAR_TYPES = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str, MixerConfig: MixerConfig}
 
 
 def _check_type(value, default, path: str) -> None:
@@ -214,16 +218,13 @@ def _from_json(value, default, path: str):
 
 
 def _mixer_from_json(obj, path: str) -> MixerConfig:
-    """A mixer object: its kind plus the fields that kind reads, which its ``validate`` checks."""
+    """A mixer object: its kind plus the fields that kind reads; ``MixerConfig`` resets the others."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{path}: expected an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind not in MIXER_KINDS:
-        raise ConfigError(f"{path}.kind: unknown mixer {kind!r}")
     unknown = set(obj) - {f.name for f in fields(MixerConfig)}
     if unknown:
         raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
-    return MixerConfig(kind=kind, **{name: obj[name] for name in MIXERS[kind].fields if name in obj})
+    return MixerConfig(**obj)
 
 
 class PatchEmbed(Module):
@@ -253,29 +254,16 @@ class Model(Module):
         self.config = config
         rng = None if seed is None else child_rng(seed, 0)
         grids = stage_grids(config.input_size)
-        rates = drop_path_schedule(config.drop_path, config.total_blocks())
-        block_index = 0
+        rates = iter(drop_path_schedule(config.drop_path, config.total_blocks()))
         in_ch = config.in_channels
         for s in range(4):
             kernel, stride, pad = EMBED_SPECS[s]
             embed = PatchEmbed(in_ch, config.dims[s], kernel, stride, pad, rng, dtype=dtype)
             in_ch = config.dims[s]
-            blocks = []
-            for _ in range(config.depths[s]):
-                bcfg = BlockConfig(
-                    mixer=config.mixers[s],
-                    norm=config.norm,
-                    activation=config.activation,
-                    use_residual=config.use_residual,
-                    use_channel_mlp=config.use_channel_mlp,
-                    use_layer_scale=config.use_layer_scale,
-                    layer_scale_init=config.layer_scale_init,
-                    drop_path_rate=rates[block_index],
-                )
-                blocks.append(
-                    MetaFormerBlock(config.dims[s], bcfg, rng, n_tokens=grids[s] * grids[s], dtype=dtype)
-                )
-                block_index += 1
+            blocks = [
+                MetaFormerBlock(config, s, next(rates), rng, n_tokens=grids[s] * grids[s], dtype=dtype)
+                for _ in range(config.depths[s])
+            ]
             # Attributes embed1, stage1, embed2, ... so that the state walk
             # interleaves each embedding with the blocks of its stage.
             setattr(self, f"embed{s + 1}", embed)

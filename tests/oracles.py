@@ -225,7 +225,7 @@ def chain_block(block, x, mode="eval", rng=None):
     def branch(t, h, ls):
         if ls is not None:
             h = h * ls.reshape(1, c, 1, 1)
-        h = chain_drop_path(h, cfg.drop_path_rate, mode, rng)
+        h = chain_drop_path(h, block.drop_path_rate, mode, rng)
         return t + h if cfg.use_residual else h
 
     y = branch(x, block.mixer(norm(block.norm1, x)), block.ls1)

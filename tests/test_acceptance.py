@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from metaformer.analysis import cost_report
-from metaformer.block import BlockConfig, MetaFormerBlock, drop_path
+from metaformer.block import MetaFormerBlock, drop_path
 from metaformer.checkpoint import load, save
 from metaformer.gradcheck import check_parameter_group, check_tensor_gradient
 from metaformer.mixers import MixerConfig
@@ -167,11 +167,11 @@ def _op_suite_max_error() -> float:
 def _block_suite_max_error() -> float:
     worst = 0.0
     for kind, norm, act in _BLOCK_COMBOS:
-        cfg = BlockConfig(
-            mixer=MixerConfig(kind=kind, heads=2 if kind == "attention" else None),
+        cfg = ModelConfig(
+            dims=(8,) * 4, mixers=(MixerConfig(kind=kind, heads=2 if kind == "attention" else None),) * 4,
             norm=norm, activation=act, layer_scale_init=0.1,
         )
-        block = MetaFormerBlock(8, cfg, np.random.default_rng(5), n_tokens=36, dtype="f64")
+        block = MetaFormerBlock(cfg, 0, 0.0, np.random.default_rng(5), n_tokens=36, dtype="f64")
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((2, 8, 6, 6)), dtype="f64", requires_grad=True)
         proj = Tensor(rng.standard_normal((2, 8, 6, 6)), dtype="f64")

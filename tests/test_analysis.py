@@ -143,7 +143,7 @@ def test_channel_mlp_removal_accounting():
     # Dropping the channel MLP leaves embeds + norm1/ls1 + head: ~2.5M / ~0.2G.
     from dataclasses import replace
 
-    cfg = replace(ModelConfig.variant_named("S12"), use_channel_mlp=False, variant=None)
+    cfg = replace(ModelConfig.variant_named("S12"), use_channel_mlp=False)
     r = cost_report(cfg)
     assert abs(r.trainable_params / 1e6 - 2.5) <= 0.05
     assert abs(r.macs_excl_pool / 1e9 - 0.2) <= 0.05

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from metaformer.block import BlockConfig, ChannelMlp, MetaFormerBlock, drop_path
+from metaformer.block import ChannelMlp, MetaFormerBlock, drop_path
 from metaformer.gradcheck import check_tensor_gradient
 from metaformer.mixers import MixerConfig
-from metaformer.model import ModelConfig, build
+from metaformer.model import ConfigError, ModelConfig, build
 from metaformer.norms import BatchNorm
 from metaformer.tensor import InvalidArgument, Tensor
 
@@ -13,11 +13,12 @@ def rng64(seed=0):
     return np.random.default_rng(seed)
 
 
-def make_block(channels=8, n_tokens=36, dtype="f64", seed=0, **cfg_kwargs):
-    kwargs = dict(mixer=MixerConfig(kind="pooling"), norm="mln", activation="gelu",
-                  use_layer_scale=True, layer_scale_init=0.1)
+def make_block(channels=8, n_tokens=36, dtype="f64", seed=0, mixer=MixerConfig(kind="pooling"),
+               drop_path_rate=0.0, **cfg_kwargs):
+    kwargs = dict(norm="mln", activation="gelu", use_layer_scale=True, layer_scale_init=0.1)
     kwargs.update(cfg_kwargs)
-    return MetaFormerBlock(channels, BlockConfig(**kwargs), rng64(seed), n_tokens=n_tokens, dtype=dtype)
+    cfg = ModelConfig(dims=(channels,) * 4, mixers=(mixer,) * 4, **kwargs)
+    return MetaFormerBlock(cfg, 0, drop_path_rate, rng64(seed), n_tokens=n_tokens, dtype=dtype)
 
 
 # -------------------------------------------------------------- channel MLP
@@ -107,16 +108,11 @@ def test_drop_path_scales_kept_samples():
 # -------------------------------------------------------------------- block
 
 def test_block_config_checks_itself_when_constructed():
-    with pytest.raises(InvalidArgument, match=r"^block\.norm: unknown norm 'instance'"):
-        BlockConfig(norm="instance")
-    with pytest.raises(InvalidArgument, match=r"^block\.activation: unknown activation 'tanh'"):
-        BlockConfig(activation="tanh")
+    # Norm, activation and layer scale are the model config's, checked when it is constructed.
     with pytest.raises(InvalidArgument, match=r"^block\.drop_path_rate:"):
-        BlockConfig(drop_path_rate=1.0)
-    with pytest.raises(InvalidArgument, match=r"^block\.layer_scale_init:"):
-        BlockConfig(layer_scale_init=-1.0)
-    # The mixer is checked against the block's width by the block that builds it.
-    with pytest.raises(InvalidArgument, match=r"^mixer\.heads: channel dim 8 is not divisible by 3 heads"):
+        make_block(drop_path_rate=1.0)
+    # The mixer is checked against the stage's width by the model config that holds it.
+    with pytest.raises(ConfigError, match=r"^mixers\[0\]\.heads: channel dim 8 is not divisible by 3 heads"):
         make_block(mixer=MixerConfig(kind="attention", heads=3))
 
 

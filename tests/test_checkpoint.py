@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import json
 import os
+import re
 import struct
 from dataclasses import replace
 
@@ -18,8 +19,8 @@ from metaformer.checkpoint import (
     save,
     save_tensors,
 )
-from metaformer.mixers import MixerConfig
-from metaformer.model import Model, ModelConfig, build
+from metaformer.mixers import MIXER_KINDS, MixerConfig
+from metaformer.model import VARIANTS, Model, ModelConfig, build
 from metaformer.analysis import count_params
 from metaformer.tensor import InvalidArgument, Tensor
 from metaformer.train import AdamW, label_smoothing_ce, synth_batch, tiny_train_config
@@ -251,8 +252,52 @@ def test_variant_overrides_survive_save_and_load(tmp_path):
     path = str(tmp_path / "m.ckpt")
     save(build(cfg, seed=0), path)
     restored = load(path)
-    assert replace(restored.config, variant="S12") == cfg
+    assert restored.config == cfg
     assert restored.head_weight.shape == (4, 512)
+
+
+# Configs that must come back equal from JSON: variants with overrides, a
+# variant's fields built by hand, every mixer kind with every mixer field set,
+# and the pinned training config. The small ones also go through a container.
+_S12 = ModelConfig.variant_named("S12")
+LARGE_ROUNDTRIP_CONFIGS = {
+    **{f"{name}-4-classes": ModelConfig.variant_named(name, num_classes=4) for name in VARIANTS},
+    **{f"{name}-no-drop-path": replace(ModelConfig.variant_named(name), drop_path=0.0) for name in VARIANTS},
+    "S12-by-hand": ModelConfig(dims=_S12.dims, depths=_S12.depths, layer_scale_init=_S12.layer_scale_init,
+                               drop_path=_S12.drop_path),
+}
+SMALL_ROUNDTRIP_CONFIGS = {
+    **{f"{kind}-all-fields": replace(TINY, mixers=(MixerConfig(kind=kind, pool_size=5, kernel=5, heads=2),) * 4)
+       for kind in MIXER_KINDS},
+    "tiny-train": tiny_train_config(),
+}
+
+
+@pytest.mark.parametrize("name", [*LARGE_ROUNDTRIP_CONFIGS, *SMALL_ROUNDTRIP_CONFIGS])
+def test_every_config_survives_json_and_container_round_trips(name, tmp_path):
+    cfg = {**LARGE_ROUNDTRIP_CONFIGS, **SMALL_ROUNDTRIP_CONFIGS}[name]
+    assert ModelConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
+    if name in SMALL_ROUNDTRIP_CONFIGS:
+        path = str(tmp_path / "m.ckpt")
+        save(build(cfg, seed=0), path)
+        assert load(path).config == cfg
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_is_refused_naming_the_tensor(value, tmp_path, capsys):
+    name = "stage2.block0.mlp.fc1.weight"
+    path = saved_tiny(tmp_path)
+    blob = bytearray(open(path, "rb").read())
+    head = header_and_manifest_len(path)
+    entry = next(t for t in json.loads(blob[16:head])["tensors"] if t["name"] == name)
+    at = head + entry["offset"] + 4 * 5  # its sixth element
+    blob[at : at + 4] = np.array([value], dtype="<f4").tobytes()
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointCorruptionError, match=rf"m\.ckpt.*'{re.escape(name)}' holds a non-finite value"):
+        load(path)
+    assert cli.main(["infer", "--ckpt", path, "--input", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and name in err[0], err
 
 
 # (name, shape, frozen) of every persisted array, in container order, as the

@@ -9,8 +9,9 @@ match them bit for bit, in f32 and f64.
 import numpy as np
 import pytest
 
-from metaformer.block import BlockConfig, MetaFormerBlock, drop_path
+from metaformer.block import MetaFormerBlock, drop_path
 from metaformer.mixers import MixerConfig
+from metaformer.model import ModelConfig
 from metaformer.tensor import Tensor, affine_norm, residual_add
 
 from oracles import chain_block, chain_drop_path, chain_norm
@@ -104,14 +105,14 @@ SWITCHES = [(res, ls, mlp) for res in (True, False) for ls in (True, False) for 
 def test_block_matches_the_chain(norm, dtype, res, ls, mlp, mode):
     # With no norm the identity mixer makes the branch input the residual input itself.
     mixer = MixerConfig(kind="identity" if norm == "none" else "pooling")
-    cfg = BlockConfig(mixer=mixer, norm=norm, use_residual=res, use_layer_scale=ls, use_channel_mlp=mlp,
-                      layer_scale_init=0.5, drop_path_rate=0.4)
+    cfg = ModelConfig(dims=(8,) * 4, mixers=(mixer,) * 4, norm=norm, use_residual=res, use_layer_scale=ls,
+                      use_channel_mlp=mlp, layer_scale_init=0.5)
     data_rng = np.random.default_rng(5)
     data = data_rng.standard_normal((6, 8, 5, 5)) * 2.0 + 0.5
     proj = Tensor(data_rng.standard_normal(data.shape), dtype=dtype)
     results = []
     for fused in (True, False):
-        block = MetaFormerBlock(8, cfg, np.random.default_rng(6), n_tokens=25, dtype=dtype)
+        block = MetaFormerBlock(cfg, 0, 0.4, np.random.default_rng(6), n_tokens=25, dtype=dtype)
         affine_rng = np.random.default_rng(7)
         for name, p in block.named_parameters():
             if name.endswith(("gamma", "beta")):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -62,7 +62,7 @@ def test_drop_path_schedule_applied_by_global_block_index():
     cfg = ModelConfig(dims=(8, 8, 8, 8), depths=(2, 1, 2, 1), num_classes=4,
                       input_size=32, drop_path=0.3)
     model = build(cfg, seed=0)
-    got = [blk.config.drop_path_rate for stage in model.stages for blk in stage]
+    got = [blk.drop_path_rate for stage in model.stages for blk in stage]
     want = drop_path_schedule(0.3, 6)
     np.testing.assert_allclose(got, want)
 
@@ -259,11 +259,32 @@ def test_config_json_roundtrip_keeps_variant_overrides():
         d = cfg.to_json_dict()
         assert "custom" in d
         back = ModelConfig.from_json_dict(d)
-        assert replace(back, variant=cfg.variant) == cfg
+        assert back == cfg
+
+
+def test_variant_is_derived_from_the_fields():
+    assert "variant" not in {f.name for f in fields(ModelConfig)}
+    s12 = ModelConfig.variant_named("S12")
+    assert s12.variant == "S12"
+    # Equal fields name the variant however the config was built; any override unnames it.
+    same = ModelConfig(dims=s12.dims, depths=s12.depths, layer_scale_init=s12.layer_scale_init,
+                       drop_path=s12.drop_path)
+    assert same.variant == "S12" and same.to_json_dict() == {"variant": "S12"}
+    assert ModelConfig.variant_named("S12", num_classes=4).variant is None
+    assert TINY.variant is None
+
+
+def test_mixer_config_resets_the_fields_its_kind_does_not_read():
+    assert MixerConfig(kind="pooling", kernel=5, heads=2) == MixerConfig(kind="pooling")
+    assert MixerConfig(kind="attention", pool_size=5, kernel=5, heads=2) == MixerConfig(kind="attention", heads=2)
+    assert MixerConfig(kind="depthwise_conv", pool_size=5, kernel=5).kernel == 5
+    # An unknown kind keeps what it was given, for validate to refuse.
+    assert MixerConfig(kind="bogus", pool_size=5).pool_size == 5
 
 
 TINY_CUSTOM = {"dims": [8, 16, 32, 64], "depths": [1, 1, 2, 1], "num_classes": 4, "input_size": 32}
 
+NON_FINITE_LS = r"config\.custom\.layer_scale_init: must be finite"
 MALFORMED_CUSTOM = {
     "scalar dims": ({"dims": 5}, r"config\.custom\.dims"),
     "string dims": ({"dims": ["8", "16", "32", "64"]}, r"config\.custom\.dims\[0\]"),
@@ -276,6 +297,10 @@ MALFORMED_CUSTOM = {
     "bool kernel": ({"mixers": [{"kind": "depthwise_conv", "kernel": True}] * 4}, r"mixers\[0\]\.kernel"),
     "string heads": ({"mixers": [{"kind": "attention", "heads": "2"}] * 4}, r"mixers\[0\]\.heads"),
     "indivisible heads": ({"mixers": [{"kind": "attention", "heads": 3}] * 4}, r"mixers\[0\]\.heads.*divisible"),
+    # json.load reads NaN, Infinity and -Infinity.
+    "nan layer_scale_init": ({"layer_scale_init": float("nan")}, NON_FINITE_LS),
+    "inf layer_scale_init": ({"layer_scale_init": float("inf")}, NON_FINITE_LS),
+    "-inf layer_scale_init": ({"layer_scale_init": -float("inf")}, NON_FINITE_LS),
 }
 
 
@@ -330,6 +355,11 @@ def test_config_validation_errors_carry_field_path():
         (r"^mixers: need one mixer per stage, got 3", dict(mixers=(MixerConfig(),) * 3)),
         (r"^activation: unknown 'tanh'", dict(activation="tanh")),
         (r"^layer_scale_init:", dict(layer_scale_init=0.0)),
+        (r"^layer_scale_init: must be finite", dict(layer_scale_init=float("nan"))),
+        (r"^layer_scale_init: must be finite", dict(layer_scale_init=float("inf"))),
+        (r"^layer_scale_init: must be finite", dict(layer_scale_init=-float("inf"))),
+        (r"^mixers\[1\]: expected MixerConfig, got 'pooling'",
+         dict(mixers=(MixerConfig(), "pooling", MixerConfig(), MixerConfig()))),
         (r"^num_classes: must be >= 1, got 0", dict(num_classes=0)),
         (r"^in_channels: must be >= 1, got 0", dict(in_channels=0)),
         (r"^input_size: .*got 16", dict(input_size=16)),
