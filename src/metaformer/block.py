@@ -76,7 +76,6 @@ class MetaFormerBlock(Module):
         if not 0.0 <= drop_path_rate < 1.0:
             raise InvalidArgument(f"block.drop_path_rate: must lie in [0, 1), got {drop_path_rate}")
         channels = config.dims[stage]
-        self.channels = channels
         self.config = config
         self.drop_path_rate = drop_path_rate
         mlp, ls, init = config.use_channel_mlp, config.use_layer_scale, config.layer_scale_init

@@ -24,7 +24,7 @@ from .checkpoint import (
     save,
 )
 from .gradcheck import check_parameter_group
-from .model import ConfigError, ModelConfig, build, stage_grids
+from .model import VARIANTS, ConfigError, ModelConfig, build, stage_grids
 from .tensor import InvalidArgument, Tensor, softmax_lastdim
 from .train import train_loop
 
@@ -64,14 +64,14 @@ def _fmt_g(count: int) -> str:
 def cmd_describe(args) -> int:
     config = _load_config(args.config, args.variant)
     report = cost_report(config, args.input_size)
+    grids = stage_grids(report.input_size)
     if args.format == "json":
         out = report.to_json_dict()
-        out["stage_grids"] = stage_grids(args.input_size)
+        out["stage_grids"] = grids
         print(json.dumps(out, indent=2))
         return 0
-    grids = stage_grids(args.input_size)
     name = config.variant or "custom"
-    print(f"model {name} @ {args.input_size}x{args.input_size}")
+    print(f"model {name} @ {report.input_size}x{report.input_size}")
     print(f"{'stage':<8}{'grid':<10}{'params':>14}{'macs':>16}")
     for s, grid in zip(report.per_stage[:4], grids):
         print(f"{s.name:<8}{f'{grid}x{grid}':<10}{s.params:>14,}{s.macs:>16,}")
@@ -181,8 +181,8 @@ def make_parser() -> _Parser:
     p = sub.add_parser("describe", help="parameter/MAC report for a config")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--config", help="path to a JSON model config")
-    g.add_argument("--variant", help="named variant (S12, S24, S36, M36, M48)")
-    p.add_argument("--input-size", type=int, default=224)
+    g.add_argument("--variant", help=f"named variant ({', '.join(VARIANTS)})")
+    p.add_argument("--input-size", type=int, default=None, help="input side (default: the config's input_size)")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(fn=cmd_describe)
 

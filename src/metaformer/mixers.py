@@ -8,15 +8,14 @@ single spatial fully connected layer shared across channels.
 
 A mixer kind is one class registered in ``MIXERS``. Besides its forward
 pass the class owns everything that depends on the kind: the ``MixerConfig``
-fields it reads (and writes to JSON), their validation, construction from a
-config, whether it binds the model to its build resolution, and its analytic
-parameter and MAC counts.
+fields it reads (and writes to JSON), their validation, its one constructor
+``(cfg, channels, n_tokens, rng, dtype)``, whether it binds the model to its
+build resolution, and its analytic parameter and MAC counts.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional, Tuple
 
@@ -73,7 +72,7 @@ class MixerConfig:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_odd(value, what: str, channels: Optional[int] = None) -> None:
@@ -100,9 +99,9 @@ class Mixer(Module):
     fields: Dict[str, Callable] = {}
     resolution_bound = False  # bound to the token count of the build-time grid
 
-    @classmethod
-    def build(cls, cfg: MixerConfig, channels: int, n_tokens: int, rng: np.random.Generator, dtype):
-        return cls()
+    def __init__(self, cfg: MixerConfig, channels: int, n_tokens: int, rng: Optional[np.random.Generator],
+                 dtype="f32"):
+        """Takes every kind's constructor arguments and keeps none of them."""
 
     @staticmethod
     def params(cfg: MixerConfig, c: int, n: int) -> Tuple[int, int]:
@@ -136,16 +135,12 @@ class PoolingMixer(Mixer):
     kind = "pooling"
     fields = {"pool_size": _check_odd}
 
-    def __init__(self, pool_size: int = 3):
-        _check_odd(pool_size, "pooling mixer: pool size")
-        self.pool_size = pool_size
+    def __init__(self, cfg, channels, n_tokens, rng, dtype="f32"):
+        _check_odd(cfg.pool_size, "pooling mixer: pool size")
+        self.pool_size = cfg.pool_size
 
     def __call__(self, x: Tensor) -> Tensor:
         return avg_pool2d_excl(x, self.pool_size) - x
-
-    @classmethod
-    def build(cls, cfg, channels, n_tokens, rng, dtype):
-        return cls(cfg.pool_size)
 
     @staticmethod
     def macs(cfg, c, n):
@@ -172,10 +167,9 @@ class RandomMatrixMixer(Mixer):
     kind = "random_matrix"
     resolution_bound = True
 
-    def __init__(self, n_tokens: int, rng: np.random.Generator, dtype="f32"):
+    def __init__(self, cfg, channels, n_tokens, rng, dtype="f32"):
         if n_tokens < 1:
             raise InvalidArgument(f"random-matrix mixer: token count must be >= 1, got {n_tokens}")
-        self.n_tokens = n_tokens
         if rng is None:
             w = np.zeros((n_tokens, n_tokens))
         else:
@@ -188,16 +182,12 @@ class RandomMatrixMixer(Mixer):
     def __call__(self, x: Tensor) -> Tensor:
         B, C, H, W = x.shape
         n = H * W
-        if n != self.n_tokens:
+        if n != self.weight.shape[0]:
             raise InvalidArgument(
-                f"random-matrix mixer is bound to {self.n_tokens} tokens, input has {n} ({H}x{W})"
+                f"random-matrix mixer is bound to {self.weight.shape[0]} tokens, input has {n} ({H}x{W})"
             )
         t, dims = _tokens(x)
         return _untokens(matmul(self.weight, t), dims)
-
-    @classmethod
-    def build(cls, cfg, channels, n_tokens, rng, dtype):
-        return cls(n_tokens, rng, dtype=dtype)
 
     @staticmethod
     def params(cfg, c, n):
@@ -214,20 +204,16 @@ class DepthwiseConvMixer(Mixer):
     kind = "depthwise_conv"
     fields = {"kernel": _check_odd}
 
-    def __init__(self, channels: int, kernel: int, rng: np.random.Generator, dtype="f32"):
-        _check_odd(kernel, "depthwise mixer: kernel")
-        self.channels = channels
-        self.kernel = kernel
-        self.weight = Tensor(trunc_normal(rng, (channels, 1, kernel, kernel)), requires_grad=True, dtype=dtype)
+    def __init__(self, cfg, channels, n_tokens, rng, dtype="f32"):
+        k = cfg.kernel
+        _check_odd(k, "depthwise mixer: kernel")
+        self.weight = Tensor(trunc_normal(rng, (channels, 1, k, k)), requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros(channels), requires_grad=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        p = self.kernel // 2
-        return conv2d(x, self.weight, self.bias, stride=(1, 1), padding=(p, p), groups=self.channels)
-
-    @classmethod
-    def build(cls, cfg, channels, n_tokens, rng, dtype):
-        return cls(channels, cfg.kernel, rng, dtype=dtype)
+        channels, _, k, _ = self.weight.shape
+        p = k // 2
+        return conv2d(x, self.weight, self.bias, stride=(1, 1), padding=(p, p), groups=channels)
 
     @staticmethod
     def params(cfg, c, n):
@@ -244,9 +230,8 @@ class AttentionMixer(Mixer):
     kind = "attention"
     fields = {"heads": _check_heads}
 
-    def __init__(self, channels: int, heads: Optional[int], rng: np.random.Generator, dtype="f32"):
-        self.heads = _check_heads(heads, "attention mixer: heads", channels)
-        self.head_dim = channels // self.heads
+    def __init__(self, cfg, channels, n_tokens, rng, dtype="f32"):
+        self.heads = _check_heads(cfg.heads, "attention mixer: heads", channels)
         c = channels
         self.qkv_weight = Tensor(trunc_normal(rng, (3 * c, c)), requires_grad=True, dtype=dtype)
         self.qkv_bias = Tensor(np.zeros(3 * c), requires_grad=True, dtype=dtype)
@@ -256,7 +241,8 @@ class AttentionMixer(Mixer):
     def __call__(self, x: Tensor) -> Tensor:
         t, dims = _tokens(x)
         B, C, H, W = dims
-        n, h, d = H * W, self.heads, self.head_dim
+        n, h = H * W, self.heads
+        d = C // h
         qkv = matmul(t, self.qkv_weight.swapaxes(0, 1)) + self.qkv_bias.reshape(1, 1, 3 * C)
         q = _split_heads(narrow(qkv, 2, 0, C), B, n, h, d)
         k = _split_heads(narrow(qkv, 2, C, C), B, n, h, d)
@@ -266,10 +252,6 @@ class AttentionMixer(Mixer):
         mixed = matmul(attn, v).swapaxes(1, 2).reshape(B, n, C)
         out = matmul(mixed, self.proj_weight.swapaxes(0, 1)) + self.proj_bias.reshape(1, 1, C)
         return _untokens(out, dims)
-
-    @classmethod
-    def build(cls, cfg, channels, n_tokens, rng, dtype):
-        return cls(channels, cfg.heads, rng, dtype=dtype)
 
     @staticmethod
     def params(cfg, c, n):
@@ -291,27 +273,22 @@ class SpatialFCMixer(Mixer):
     kind = "spatial_fc"
     resolution_bound = True
 
-    def __init__(self, n_tokens: int, rng: np.random.Generator, dtype="f32"):
+    def __init__(self, cfg, channels, n_tokens, rng, dtype="f32"):
         if n_tokens < 1:
             raise InvalidArgument(f"spatial-fc mixer: token count must be >= 1, got {n_tokens}")
-        self.n_tokens = n_tokens
         self.weight = Tensor(trunc_normal(rng, (n_tokens, n_tokens)), requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros(n_tokens), requires_grad=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         B, C, H, W = x.shape
         n = H * W
-        if n != self.n_tokens:
+        if n != self.weight.shape[0]:
             raise InvalidArgument(
-                f"spatial-fc mixer is bound to {self.n_tokens} tokens, input has {n} ({H}x{W})"
+                f"spatial-fc mixer is bound to {self.weight.shape[0]} tokens, input has {n} ({H}x{W})"
             )
         flat = x.reshape(B, C, n)
         out = matmul(flat, self.weight.swapaxes(0, 1)) + self.bias.reshape(1, 1, n)
         return out.reshape(B, C, H, W)
-
-    @classmethod
-    def build(cls, cfg, channels, n_tokens, rng, dtype):
-        return cls(n_tokens, rng, dtype=dtype)
 
     @staticmethod
     def params(cfg, c, n):
@@ -336,4 +313,4 @@ def make_mixer(config: MixerConfig, channels: int, n_tokens: int, rng: np.random
     to the build-time grid; other mixers ignore it.
     """
     config.validate("mixer", channels)
-    return MIXERS[config.kind].build(config, channels, n_tokens, rng, dtype)
+    return MIXERS[config.kind](config, channels, n_tokens, rng, dtype)

@@ -10,7 +10,6 @@ L blocks distributes them [L/6, L/6, L/2, L/6] across stages.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +29,6 @@ MEDIUM_DIMS = (96, 192, 384, 768)
 # yields exactly 56/28/14/7 grids.
 EMBED_SPECS = ((7, 4, 2), (3, 2, 1), (3, 2, 1), (3, 2, 1))
 
-VARIANTS = ("S12", "S24", "S36", "M36", "M48")
 _VARIANT_TABLE = {
     # name: (dims, total blocks, layer_scale_init, peak drop path)
     "S12": (SMALL_DIMS, 12, 1e-5, 0.1),
@@ -39,6 +37,7 @@ _VARIANT_TABLE = {
     "M36": (MEDIUM_DIMS, 36, 1e-6, 0.3),
     "M48": (MEDIUM_DIMS, 48, 1e-6, 0.4),
 }
+VARIANTS = tuple(_VARIANT_TABLE)
 
 
 class ConfigError(ValueError):
@@ -113,8 +112,8 @@ class ModelConfig:
             raise ConfigError(f"activation: unknown {self.activation!r}, expected one of {tuple(ACTIVATIONS)}")
         if not 0.0 <= self.drop_path < 1.0:
             raise ConfigError(f"drop_path: must lie in [0, 1), got {self.drop_path}")
-        if self.use_layer_scale and not 0 < self.layer_scale_init < math.inf:
-            raise ConfigError(f"layer_scale_init: must be finite and > 0 with layer scale on, "
+        if not -math.inf < self.layer_scale_init < math.inf or self.use_layer_scale and self.layer_scale_init <= 0:
+            raise ConfigError(f"layer_scale_init: must be finite, and > 0 with layer scale on, "
                               f"got {self.layer_scale_init}")
         if self.num_classes < 1:
             raise ConfigError(f"num_classes: must be >= 1, got {self.num_classes}")
@@ -192,7 +191,8 @@ class ModelConfig:
             raise ConfigError(f"config.custom.{e}") from e
 
 
-_SCALAR_TYPES = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str, MixerConfig: MixerConfig}
+# Only the types JSON writes back as themselves: a numpy integer or a Fraction would not survive a save.
+_SCALAR_TYPES = {bool: bool, int: int, float: (int, float), str: str, MixerConfig: MixerConfig}
 
 
 def _check_type(value, default, path: str) -> None:
@@ -268,7 +268,7 @@ class Model(Module):
             # interleaves each embedding with the blocks of its stage.
             setattr(self, f"embed{s + 1}", embed)
             setattr(self, f"stage{s + 1}", blocks)
-        self.final_norm = make_norm(config.norm, config.dims[3], dtype=dtype)
+        self.norm = make_norm(config.norm, config.dims[3], dtype=dtype)
         self.head_weight = Tensor(
             trunc_normal(rng, (config.num_classes, config.dims[3])), requires_grad=True, dtype=dtype
         )
@@ -292,7 +292,7 @@ class Model(Module):
             x = embed(x)
             for blk in blocks:
                 x = blk(x, mode, rng)
-        x = self.final_norm(x, mode)
+        x = self.norm(x, mode)
         pooled = x.mean(axis=(2, 3))
         return matmul(pooled, self.head_weight.swapaxes(0, 1)) + self.head_bias.reshape(1, -1)
 

@@ -29,9 +29,7 @@ def is_training(mode: str) -> bool:
 
 
 def _segment(attr: str) -> str:
-    """Checkpoint path segment of an attribute: fc1_weight -> fc1.weight, final_norm -> norm."""
-    if attr == "final_norm":
-        return "norm"
+    """Checkpoint path segment of an attribute: fc1_weight -> fc1.weight."""
     layer, _, leaf = attr.rpartition("_")
     return f"{layer}.{leaf}" if layer and leaf in ("weight", "bias") else attr
 

@@ -20,7 +20,6 @@ class _AffineNorm(Module):
     def __init__(self, channels: int, eps: float = 1e-5, dtype="f32"):
         if eps <= 0:
             raise InvalidArgument(f"norm eps must be positive, got {eps}")
-        self.channels = channels
         self.eps = eps
         self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(channels), requires_grad=True, dtype=dtype)
@@ -59,7 +58,7 @@ class BatchNorm(_AffineNorm):
         self.running_var = np.ones(channels, dtype=np_dtype)
 
     def __call__(self, x: Tensor, mode: str = "eval") -> Tensor:
-        c = self.channels
+        c = self.gamma.shape[0]
         if is_training(mode):
             B, _, H, W = x.shape
             count = B * H * W

@@ -205,7 +205,7 @@ def chain_drop_path(x, p, mode, rng):
 def chain_block(block, x, mode="eval", rng=None):
     """``MetaFormerBlock.__call__`` as separate norm, LayerScale, drop-path and residual nodes."""
     cfg = block.config
-    c = block.channels
+    c = x.shape[1]
 
     def norm(layer, t):
         if cfg.norm == "none":

@@ -85,6 +85,20 @@ def test_describe_custom_config(tmp_path, capsys):
     assert "stage4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_describe_defaults_to_the_configs_own_input_size(tmp_path, capsys, fmt):
+    # A spatial-fc stage binds the model to its input_size; without --input-size it is reported there.
+    bound = {"custom": dict(TINY_JSON["custom"], mixers=[{"kind": "pooling"}] * 3 + [{"kind": "spatial_fc"}])}
+    for obj in (TINY_JSON, bound):
+        assert run_main(["describe", "--config", write_config(tmp_path, obj), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            report = json.loads(out)
+            assert (report["input_size"], report["stage_grids"]) == (32, [8, 4, 2, 1])
+        else:
+            assert out.startswith("model custom @ 32x32\n") and "8x8" in out
+
+
 def test_describe_rejects_bad_config(tmp_path, capsys):
     bad = dict(TINY_JSON)
     bad["custom"] = dict(bad["custom"], norm="instance")

@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 from metaformer.gradcheck import check_tensor_gradient
-from metaformer.mixers import (
-    AttentionMixer,
-    DepthwiseConvMixer,
-    IdentityMixer,
-    MixerConfig,
-    PoolingMixer,
-    RandomMatrixMixer,
-    SpatialFCMixer,
-    make_mixer,
-)
+from metaformer.mixers import AttentionMixer, MixerConfig, PoolingMixer, make_mixer
 from metaformer.tensor import InvalidArgument, Tensor
 
 from oracles import naive_avg_pool_excl
@@ -25,16 +16,21 @@ def rng64(seed=0):
     return np.random.default_rng(seed)
 
 
+def mixer_of(kind, channels=1, n_tokens=1, rng=None, dtype="f32", **fields):
+    """The ``kind`` mixer built through ``make_mixer`` from a config with ``fields``."""
+    return make_mixer(MixerConfig(kind=kind, **fields), channels, n_tokens, rng, dtype)
+
+
 # ------------------------------------------------------------------ pooling
 
 def test_pooling_constant_input_maps_to_zero():
-    mixer = PoolingMixer(3)
+    mixer = mixer_of("pooling", pool_size=3)
     x = Tensor(np.full((2, 3, 5, 5), -2.5), dtype="f64")
     np.testing.assert_allclose(mixer(x).data, 0.0, atol=1e-12)
 
 
 def test_pooling_window_means_minus_input():
-    mixer = PoolingMixer(3)
+    mixer = mixer_of("pooling", pool_size=3)
     x = Tensor(np.arange(1, 10, dtype=np.float64).reshape(1, 1, 3, 3))
     out = mixer(x).data[0, 0]
     assert out[1, 1] == 0.0
@@ -43,33 +39,33 @@ def test_pooling_window_means_minus_input():
 
 
 def test_pooling_k1_always_zero():
-    mixer = PoolingMixer(1)
+    mixer = mixer_of("pooling", pool_size=1)
     x = rnd((2, 2, 4, 4), seed=1)
     np.testing.assert_array_equal(mixer(x).data, np.zeros_like(x.data))
 
 
 def test_pooling_rejects_even_k():
     with pytest.raises(InvalidArgument):
-        PoolingMixer(4)
+        PoolingMixer(MixerConfig(kind="pooling", pool_size=4), 1, 1, None)
 
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_pooling_bruteforce_equivalence_on_random_inputs(k):
     for seed in range(10):
         x = np.random.default_rng(seed).standard_normal((1, 2, 5, 5))
-        got = PoolingMixer(k)(Tensor(x, dtype="f64")).data
+        got = mixer_of("pooling", pool_size=k)(Tensor(x, dtype="f64")).data
         np.testing.assert_allclose(got, naive_avg_pool_excl(x, k) - x, atol=1e-12)
 
 
 def test_pooling_has_no_parameters():
-    assert list(PoolingMixer(3).named_parameters("p")) == []
-    assert list(PoolingMixer(3).frozen_parameters("p")) == []
+    assert list(mixer_of("pooling", pool_size=3).named_parameters("p")) == []
+    assert list(mixer_of("pooling", pool_size=3).frozen_parameters("p")) == []
 
 
 # ----------------------------------------------------------------- identity
 
 def test_identity_returns_input_and_unit_gradient():
-    mixer = IdentityMixer()
+    mixer = mixer_of("identity")
     x = rnd((2, 3, 4, 4), seed=2)
     x.requires_grad = True
     out = mixer(x)
@@ -81,19 +77,19 @@ def test_identity_returns_input_and_unit_gradient():
 # ------------------------------------------------------------ random matrix
 
 def test_random_matrix_rows_sum_to_one():
-    mixer = RandomMatrixMixer(64, rng64(0), dtype="f32")
+    mixer = mixer_of("random_matrix", n_tokens=64, rng=rng64(0), dtype="f32")
     sums = mixer.weight.data.astype(np.float64).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
 
 def test_random_matrix_identical_tokens_are_fixed_point():
-    mixer = RandomMatrixMixer(16, rng64(1), dtype="f64")
+    mixer = mixer_of("random_matrix", n_tokens=16, rng=rng64(1), dtype="f64")
     x = Tensor(np.broadcast_to(np.arange(3.0).reshape(1, 3, 1, 1), (1, 3, 4, 4)).copy(), dtype="f64")
     np.testing.assert_allclose(mixer(x).data, x.data, atol=1e-9)
 
 
 def test_random_matrix_two_token_matvec():
-    mixer = RandomMatrixMixer(2, rng64(2), dtype="f64")
+    mixer = mixer_of("random_matrix", n_tokens=2, rng=rng64(2), dtype="f64")
     mixer.weight.data[:] = [[0.75, 0.25], [0.25, 0.75]]
     x = np.zeros((1, 1, 1, 2))
     x[0, 0, 0] = [2.0, 10.0]
@@ -102,7 +98,7 @@ def test_random_matrix_two_token_matvec():
 
 
 def test_random_matrix_receives_no_gradient():
-    mixer = RandomMatrixMixer(9, rng64(3), dtype="f64")
+    mixer = mixer_of("random_matrix", n_tokens=9, rng=rng64(3), dtype="f64")
     x = rnd((2, 2, 3, 3), seed=4)
     x.requires_grad = True
     mixer(x).sum().backward()
@@ -112,7 +108,7 @@ def test_random_matrix_receives_no_gradient():
 
 
 def test_random_matrix_rejects_wrong_resolution():
-    mixer = RandomMatrixMixer(9, rng64(5))
+    mixer = mixer_of("random_matrix", n_tokens=9, rng=rng64(5))
     with pytest.raises(InvalidArgument, match="9 tokens.*16"):
         mixer(Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32)))
 
@@ -120,7 +116,7 @@ def test_random_matrix_rejects_wrong_resolution():
 # ------------------------------------------------------------ depthwise conv
 
 def test_depthwise_delta_kernel_is_identity():
-    mixer = DepthwiseConvMixer(2, 3, rng64(6), dtype="f64")
+    mixer = mixer_of("depthwise_conv", channels=2, kernel=3, rng=rng64(6), dtype="f64")
     mixer.weight.data[:] = 0.0
     mixer.weight.data[:, 0, 1, 1] = 1.0
     mixer.bias.data[:] = 0.0
@@ -129,7 +125,7 @@ def test_depthwise_delta_kernel_is_identity():
 
 
 def test_depthwise_all_ones_center_sum():
-    mixer = DepthwiseConvMixer(1, 3, rng64(8), dtype="f64")
+    mixer = mixer_of("depthwise_conv", channels=1, kernel=3, rng=rng64(8), dtype="f64")
     mixer.weight.data[:] = 1.0
     mixer.bias.data[:] = 0.0
     x = Tensor(np.arange(1, 10, dtype=np.float64).reshape(1, 1, 3, 3))
@@ -137,7 +133,7 @@ def test_depthwise_all_ones_center_sum():
 
 
 def test_depthwise_parameter_count():
-    mixer = DepthwiseConvMixer(64, 3, rng64(9))
+    mixer = mixer_of("depthwise_conv", channels=64, kernel=3, rng=rng64(9))
     n = sum(t.data.size for _, t in mixer.named_parameters("m"))
     assert n == 64 * 9 + 64 == 640
 
@@ -146,7 +142,7 @@ def test_depthwise_parameter_count():
 
 def test_attention_single_token_is_proj_of_v():
     c = 8
-    mixer = AttentionMixer(c, heads=2, rng=rng64(10), dtype="f64")
+    mixer = mixer_of("attention", channels=c, heads=2, rng=rng64(10), dtype="f64")
     x = rnd((1, c, 1, 1), seed=11)
     out = mixer(x).data.reshape(c)
     # With one token, softmax weights are [[1.0]], so output = proj(v) + bias.
@@ -159,7 +155,7 @@ def test_attention_single_token_is_proj_of_v():
 
 def test_attention_identical_tokens_produce_identical_rows():
     c = 8
-    mixer = AttentionMixer(c, heads=2, rng=rng64(12), dtype="f64")
+    mixer = mixer_of("attention", channels=c, heads=2, rng=rng64(12), dtype="f64")
     token = np.random.default_rng(13).standard_normal(c)
     x = np.broadcast_to(token.reshape(1, c, 1, 1), (1, c, 2, 1)).copy()
     out = mixer(Tensor(x, dtype="f64")).data
@@ -168,7 +164,7 @@ def test_attention_identical_tokens_produce_identical_rows():
 
 def test_attention_parameter_count_closed_form():
     for c, heads in [(32, 4), (512, 16)]:
-        mixer = AttentionMixer(c, heads=heads, rng=rng64(14))
+        mixer = mixer_of("attention", channels=c, heads=heads, rng=rng64(14))
         n = sum(t.data.size for _, t in mixer.named_parameters("m"))
         assert n == 4 * c * c + 4 * c
     assert 4 * 512 * 512 + 4 * 512 == 1_050_624
@@ -176,7 +172,7 @@ def test_attention_parameter_count_closed_form():
 
 def test_attention_permutation_equivariant_over_tokens():
     c, h, w = 8, 2, 3
-    mixer = AttentionMixer(c, heads=2, rng=rng64(15), dtype="f64")
+    mixer = mixer_of("attention", channels=c, heads=2, rng=rng64(15), dtype="f64")
     x = np.random.default_rng(16).standard_normal((2, c, h, w))
     perm = np.random.default_rng(17).permutation(h * w)
     flat = x.reshape(2, c, h * w)
@@ -188,13 +184,13 @@ def test_attention_permutation_equivariant_over_tokens():
 
 def test_attention_rejects_indivisible_heads():
     with pytest.raises(InvalidArgument, match="divisible"):
-        AttentionMixer(10, heads=3, rng=rng64(18))
+        AttentionMixer(MixerConfig(kind="attention", heads=3), 10, 1, rng64(18))
 
 
 # ---------------------------------------------------------------- spatial fc
 
 def test_spatial_fc_identity_weights():
-    mixer = SpatialFCMixer(12, rng64(19), dtype="f64")
+    mixer = mixer_of("spatial_fc", n_tokens=12, rng=rng64(19), dtype="f64")
     mixer.weight.data[:] = np.eye(12)
     mixer.bias.data[:] = 0.0
     x = rnd((2, 3, 3, 4), seed=20)
@@ -202,13 +198,13 @@ def test_spatial_fc_identity_weights():
 
 
 def test_spatial_fc_parameter_count():
-    mixer = SpatialFCMixer(49, rng64(21))
+    mixer = mixer_of("spatial_fc", n_tokens=49, rng=rng64(21))
     n = sum(t.data.size for _, t in mixer.named_parameters("m"))
     assert n == 49 * 49 + 49 == 2_450
 
 
 def test_spatial_fc_rejects_wrong_resolution():
-    mixer = SpatialFCMixer(12, rng64(22))
+    mixer = mixer_of("spatial_fc", n_tokens=12, rng=rng64(22))
     with pytest.raises(InvalidArgument, match="12 tokens"):
         mixer(Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32)))
 

@@ -213,7 +213,7 @@ def test_head_is_permutation_invariant_over_final_tokens():
     feats = rng.standard_normal((1, 8, 2, 2)).astype(np.float32)
 
     def head_path(f):
-        x = model.final_norm(Tensor(f), "eval")
+        x = model.norm(Tensor(f), "eval")
         pooled = x.mean(axis=(2, 3))
         return (matmul(pooled, model.head_weight.swapaxes(0, 1)) + model.head_bias.reshape(1, -1)).data
 
@@ -301,6 +301,13 @@ MALFORMED_CUSTOM = {
     "nan layer_scale_init": ({"layer_scale_init": float("nan")}, NON_FINITE_LS),
     "inf layer_scale_init": ({"layer_scale_init": float("inf")}, NON_FINITE_LS),
     "-inf layer_scale_init": ({"layer_scale_init": -float("inf")}, NON_FINITE_LS),
+    # Refused with layer scale off too: NaN would not survive a JSON round trip.
+    "nan layer_scale_init, layer scale off": ({"use_layer_scale": False, "layer_scale_init": float("nan")},
+                                              NON_FINITE_LS),
+    "inf layer_scale_init, layer scale off": ({"use_layer_scale": False, "layer_scale_init": float("inf")},
+                                              NON_FINITE_LS),
+    "-inf layer_scale_init, layer scale off": ({"use_layer_scale": False, "layer_scale_init": -float("inf")},
+                                               NON_FINITE_LS),
 }
 
 
@@ -358,6 +365,9 @@ def test_config_validation_errors_carry_field_path():
         (r"^layer_scale_init: must be finite", dict(layer_scale_init=float("nan"))),
         (r"^layer_scale_init: must be finite", dict(layer_scale_init=float("inf"))),
         (r"^layer_scale_init: must be finite", dict(layer_scale_init=-float("inf"))),
+        (r"^layer_scale_init: must be finite", dict(use_layer_scale=False, layer_scale_init=float("nan"))),
+        (r"^layer_scale_init: must be finite", dict(use_layer_scale=False, layer_scale_init=float("inf"))),
+        (r"^layer_scale_init: must be finite", dict(use_layer_scale=False, layer_scale_init=-float("inf"))),
         (r"^mixers\[1\]: expected MixerConfig, got 'pooling'",
          dict(mixers=(MixerConfig(), "pooling", MixerConfig(), MixerConfig()))),
         (r"^num_classes: must be >= 1, got 0", dict(num_classes=0)),
