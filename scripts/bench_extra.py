@@ -63,9 +63,9 @@ print(time.perf_counter() - start)
 
 
 def python(code: str, *args: str) -> str:
-    """The last stdout line of ``code`` run in a fresh interpreter."""
+    """The stdout of ``code`` run in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", code, *args], env=ENV, check=True, stdout=subprocess.PIPE, text=True)
-    return proc.stdout.splitlines()[-1]
+    return proc.stdout
 
 
 def ms(seconds) -> dict:
@@ -92,11 +92,10 @@ def tier1() -> dict:
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            "--continue-on-collection-errors"], cwd=ROOT, env=ENV, stdout=subprocess.PIPE, text=True)
     wall = time.perf_counter() - start
-    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)", summary)}
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", summary)}
     return {"measurement": "tier1", "wall_s": round(wall, 1), "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0),
-            "exit_code": proc.returncode}
+            "failed": counts.get("failed", 0) + counts.get("error", 0), "exit_code": proc.returncode}
 
 
 def main() -> int:

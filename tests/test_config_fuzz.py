@@ -32,7 +32,6 @@ from metaformer.model import ConfigError, ModelConfig, build
 from metaformer.norms import NORM_KINDS
 from metaformer.tensor import ACTIVATIONS, Tensor
 
-FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
 TINY = {"dims": [4, 4, 8, 8], "depths": [1, 1, 1, 1], "num_classes": 3, "input_size": 32}
 
 WRONG = st.sampled_from((None, True, False, "", "8", 0.5, 4.0, float("nan"), float("inf"), [], {}))
@@ -172,7 +171,7 @@ def test_damaged_configs_are_refused_alike_or_round_trip(workdir, custom):
     check_both_paths(custom, workdir)
 
 
-@FUZZ
+@settings(derandomize=True, max_examples=150, deadline=None)
 @given(name=st.sampled_from(tuple(VALID)), value=PYTHON_ONLY)
 def test_python_only_values_are_refused_or_round_trip(workdir, name, value):
     try:
