@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Time three workloads that perfbench does not run, each in fresh processes with one BLAS thread.
+"""Time four workloads that perfbench does not run, each in fresh processes with one BLAS thread.
 
 - ``checkpoint.load`` of M48: one process builds M48 and saves it to a
   temporary directory, then a fresh process times ``LOADS`` loads of that
   file and reports their median and minimum and its own peak RSS;
 - ``import metaformer`` alone, once in each of ``IMPORTS`` fresh processes;
-- the Tier-1 suite's wall time, in one fresh process.
+- the Tier-1 suite's wall time, in one fresh process;
+- criterion 9's pinned 300-step training run (tiny config, batch 32, seed
+  0, peak lr 3e-3, no label smoothing), in one fresh process: its wall
+  seconds, last/first step loss ratio and last-batch accuracy.
 
 It takes no options and measures the checkout it lives in. Each measurement
 prints one JSON line:
@@ -60,6 +63,15 @@ start = time.perf_counter()
 import metaformer
 print(time.perf_counter() - start)
 """
+# The recipe of tests/test_acceptance.py::test_criterion_09_toy_training_regression.
+PINNED_RUN = """
+import json, time
+from metaformer.train import tiny_train_config, train_loop
+start = time.perf_counter()
+metrics = train_loop(tiny_train_config(), steps=300, batch_size=32, seed=0, lr_peak=3e-3, label_smoothing=0.0).metrics
+wall = time.perf_counter() - start
+print(json.dumps({"wall_s": wall, "ratio": metrics[-1]["loss"] / metrics[0]["loss"], "acc": metrics[-1]["train_acc"]}))
+"""
 
 
 def python(code: str, *args: str) -> str:
@@ -98,8 +110,14 @@ def tier1() -> dict:
             "failed": counts.get("failed", 0) + counts.get("error", 0), "exit_code": proc.returncode}
 
 
+def pinned_run() -> dict:
+    result = json.loads(python(PINNED_RUN))
+    return {"measurement": "criterion 9 pinned 300-step run", "wall_s": round(result["wall_s"], 2),
+            "loss_ratio": round(result["ratio"], 4), "train_acc": result["acc"]}
+
+
 def main() -> int:
-    for measure in (m48_load, import_time, tier1):
+    for measure in (m48_load, import_time, tier1, pinned_run):
         print(json.dumps(measure()), flush=True)
     return 0
 

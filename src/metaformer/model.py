@@ -112,8 +112,9 @@ class ModelConfig:
             raise ConfigError(f"activation: unknown {self.activation!r}, expected one of {tuple(ACTIVATIONS)}")
         if not 0.0 <= self.drop_path < 1.0:
             raise ConfigError(f"drop_path: must lie in [0, 1), got {self.drop_path}")
-        if not -math.inf < self.layer_scale_init < math.inf or self.use_layer_scale and self.layer_scale_init <= 0:
-            raise ConfigError(f"layer_scale_init: must be finite, and > 0 with layer scale on, "
+        # Above 1 the residual branches can overflow an f32 forward (1e9 does without a per-sample norm).
+        if not -math.inf < self.layer_scale_init <= 1.0 or self.use_layer_scale and self.layer_scale_init <= 0:
+            raise ConfigError(f"layer_scale_init: must be finite and <= 1, and > 0 with layer scale on, "
                               f"got {self.layer_scale_init}")
         if self.num_classes < 1:
             raise ConfigError(f"num_classes: must be >= 1, got {self.num_classes}")

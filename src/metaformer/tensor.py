@@ -8,7 +8,8 @@ reverse topological order, and is the one place that adds those products
 into the parents' gradients: it sums a product over the axes its parent was
 broadcast along, casts it to the parent's dtype and skips parents that
 record no graph. A parent listed twice gets its two products added in list
-order.
+order. A leaf packed into an optimizer's arena (``train.AdamW``) takes its
+first product by copy into its arena slice and adds later ones in place.
 
 Kernel choices: k x k pooling is a separable box sum (k-1 row-shifted adds,
 then k-1 column-shifted adds); conv2d is im2col into K-major columns
@@ -70,10 +71,14 @@ class Tensor:
     frozen tensor; results of operations are never trainable. Turning
     ``requires_grad`` off on a parameter stops recording without changing
     what it is. ``grad`` is allocated during ``backward`` and has the same
-    shape/dtype as ``data``; only leaves keep theirs after ``backward``.
+    shape/dtype as ``data``; only leaves keep theirs after ``backward``. A
+    parameter packed by ``train.AdamW`` gets no new array: its ``grad`` is its
+    view of the optimizer's gradient arena, written in place by ``backward``,
+    so it holds this gradient only until the next ``zero_grad`` and
+    ``backward``. Copy it to keep it.
     """
 
-    __slots__ = ("data", "requires_grad", "trainable", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "trainable", "grad", "_parents", "_backward_fn", "_grad_out")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is not None:
@@ -87,6 +92,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple = ()
         self._backward_fn = None
+        self._grad_out: Optional[np.ndarray] = None  # this leaf's slice of an optimizer's gradient arena
 
     # ------------------------------------------------------------- basics
     @property
@@ -194,7 +200,17 @@ def _accum(t: Tensor, g: Optional[np.ndarray]) -> None:
         return
     if g.shape != t.data.shape:
         g = _unbroadcast(g, t.data.shape)
-    if t.grad is None:
+    out = t._grad_out
+    if out is not None and (t.grad is None or t.grad is out):
+        if g.shape != out.shape:  # copyto and add would broadcast it silently
+            raise InvalidArgument(f"backward: gradient shape {g.shape} != parameter shape {out.shape}")
+        if t.grad is None:
+            # A copy, not an add into zeros: 0.0 + (-0.0) would lose the sign of a zero gradient.
+            np.copyto(out, g, casting="unsafe")
+            t.grad = out
+        else:
+            np.add(out, g, out=out)
+    elif t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=True)
     else:
         t.grad = t.grad + g
@@ -214,6 +230,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     needs = any(p.requires_grad for p in parents)
     node.requires_grad = needs
     node.trainable = False
+    node._grad_out = None
     node._parents = tuple(parents) if needs else ()
     node._backward_fn = backward if needs else None
     return node

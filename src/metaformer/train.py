@@ -1,7 +1,11 @@
 """Desk-scale supervised training on a seeded synthetic shape dataset.
 
 AdamW with decoupled weight decay, linear warmup into a cosine schedule,
-label-smoothing cross-entropy. The dataset draws one of four patterns
+label-smoothing cross-entropy. AdamW keeps the parameters, their gradients
+and its two moments in one flat arena each, so a step is a fixed sequence of
+whole-arena numpy calls rather than one pass per tensor; its results are the
+bits of the per-tensor update. ``train_loop`` drops each step's graph once
+the step is done, so only one graph is alive at a time. The dataset draws one of four patterns
 (filled disk, filled square, horizontal stripes, vertical stripes) with
 seeded jitter and noise; sample generation is a pure function of
 (seed, index), so runs are bitwise reproducible.
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -28,6 +33,8 @@ CLASS_NAMES = ("disk", "square", "h_stripes", "v_stripes")
 ADAMW_BETAS = (0.9, 0.999)
 ADAMW_EPS = 1e-8
 DEFAULT_WEIGHT_DECAY = 0.05
+# Elements per pass of AdamW's update: one block of each arena row and of both scratch rows stay in cache.
+ADAMW_BLOCK = 16384
 
 
 def default_peak_lr(batch_size: int) -> float:
@@ -52,14 +59,48 @@ def tiny_train_config() -> ModelConfig:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a model's optimizer-visible parameters."""
+    """Decoupled-weight-decay Adam over a model's optimizer-visible parameters.
+
+    The constructor packs the parameters, in the order given, into one flat
+    arena per role: values ``p``, gradients ``g``, first moments ``m`` and
+    second moments ``v``, rows of one ``[4, n]`` array over a single anonymous
+    memory mapping, so its pages go back to the OS once the optimizer and its
+    parameters are dropped. Each parameter's ``data`` becomes a view of its
+    slice of ``p`` and its leaf gradient lands in its slice of ``g`` during
+    ``Tensor.backward``. ``step`` then updates the whole arena in blocks of
+    ``ADAMW_BLOCK`` elements, with each element's operations in the same order
+    as a per-tensor update, so the results are the same bits. Packing a
+    parameter into a second optimizer moves it to that optimizer's arena.
+    """
 
     def __init__(self, params: List[Tuple[str, Tensor]], weight_decay: float = DEFAULT_WEIGHT_DECAY):
         self.params = params
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params}
-        self.v = {name: np.zeros_like(p.data) for name, p in params}
+        seen = set()
+        for name, p in params:
+            if id(p) in seen:
+                raise InvalidArgument(f"adamw: parameter {name} is listed twice")
+            seen.add(id(p))
+        dtypes = sorted({p.dtype.name for _, p in params})
+        if len(dtypes) > 1:
+            raise InvalidArgument(f"adamw: parameters mix dtypes {dtypes}")
+        dtype = np.dtype(dtypes[0] if dtypes else np.float32)
+        n = sum(p.data.size for _, p in params)
+        block = min(n, ADAMW_BLOCK)
+        size = 4 * n + 2 * block
+        # mmap refuses a length of 0; frombuffer's count keeps an empty arena empty.
+        flat = np.frombuffer(mmap.mmap(-1, max(1, size * dtype.itemsize)), dtype=dtype, count=size)
+        self.p, self.g, self.m, self.v = flat[:4 * n].reshape(4, n)
+        self._scratch = flat[4 * n:].reshape(2, block)
+        start = 0
+        for _, p in params:
+            end = start + p.data.size
+            view = self.p[start:end].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            p._grad_out = self.g[start:end].reshape(view.shape)
+            start = end
 
     def step(self, lr: float) -> None:
         """One update from the gradients currently stored on the parameters."""
@@ -67,17 +108,41 @@ class AdamW:
         b1, b2 = ADAMW_BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
+        decay = lr * self.weight_decay
         for name, p in self.params:
-            g = p.grad_array()
-            if g.shape != p.data.shape:
-                raise InvalidArgument(f"adamw: gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m[...] = b1 * m + (1.0 - b1) * g
-            v[...] = b2 * v + (1.0 - b2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data[...] = p.data - lr * self.weight_decay * p.data - lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
+            view = p._grad_out
+            if p.grad is view:
+                continue
+            if p.grad is None:
+                view.fill(0)  # off the loss path: a zero gradient
+            elif p.grad.shape != view.shape:
+                raise InvalidArgument(f"adamw: gradient shape {p.grad.shape} != parameter shape {view.shape} for {name}")
+            else:
+                np.copyto(view, p.grad)  # assigned by the caller
+        s1, s2 = self._scratch
+        for start in range(0, self.p.size, ADAMW_BLOCK):
+            end = min(start + ADAMW_BLOCK, self.p.size)
+            p, g, m, v = self.p[start:end], self.g[start:end], self.m[start:end], self.v[start:end]
+            a, b = s1[:end - start], s2[:end - start]
+            # m = b1*m + (1-b1)*g
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=a)
+            np.add(m, a, out=m)
+            # v = b2*v + ((1-b2)*g)*g
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1.0 - b2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            # p = (p - (lr*wd)*p) - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+            np.multiply(p, decay, out=a)
+            np.subtract(p, a, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, ADAMW_EPS, out=b)
+            np.divide(m, bc1, out=p)
+            np.multiply(p, lr, out=p)
+            np.divide(p, b, out=p)
+            np.subtract(a, p, out=p)
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -209,6 +274,7 @@ def train_loop(
             lr = cosine_lr(step, warmup, steps, lr_peak)
             optimizer.step(lr)
             acc = float((logits.data.argmax(axis=1) == labels).mean())
+            del logits, loss  # the step's graph goes now, not once the next forward has built its own
             record = {"step": step, "lr": lr, "loss": loss_value, "train_acc": acc}
             metrics.append(record)
             if out is not None:

@@ -13,6 +13,7 @@ import numpy as np
 from metaformer.init import child_rng
 from metaformer.norms import BN_MOMENTUM
 from metaformer.tensor import Tensor, sqrt
+from metaformer.train import ADAMW_BETAS, ADAMW_EPS
 
 
 def naive_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1):
@@ -171,6 +172,26 @@ def loop_synth_sample(seed, index, size=32):
     img[:, mask] = fg.reshape(3, 1)
     img += rng.normal(0.0, 0.02, size=img.shape)
     return np.clip(img, 0.0, 1.0).astype(np.float32), label
+
+
+def loop_adamw_step(params, m, v, t, lr, weight_decay):
+    """AdamW step ``t`` (from 1), one tensor at a time: the loop that ``train.AdamW``'s arena replaced.
+
+    ``m`` and ``v`` map each parameter's name to its moments, zeros before
+    the first step, and are updated in place with the parameters.
+    """
+    b1, b2 = ADAMW_BETAS
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for name, p in params:
+        g = p.grad_array()
+        mn = m.setdefault(name, np.zeros_like(p.data))
+        vn = v.setdefault(name, np.zeros_like(p.data))
+        mn[...] = b1 * mn + (1.0 - b1) * g
+        vn[...] = b2 * vn + (1.0 - b2) * g * g
+        m_hat = mn / bc1
+        v_hat = vn / bc2
+        p.data[...] = p.data - lr * weight_decay * p.data - lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
 
 
 # ---------------------------------------------------------------- recorded chains

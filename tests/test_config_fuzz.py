@@ -47,8 +47,8 @@ def four(values, sizes=(4,)):
     return st.sampled_from(sizes).flatmap(lambda n: st.lists(values, min_size=n, max_size=n))
 
 
-# In range: any combination of these is a valid config. layer_scale_init stays at or below 1, as
-# every variant's does; a large one overflows the f32 forward of a model without a per-sample norm.
+# In range: any combination of these is a valid config. layer_scale_init is at most 1, as every
+# variant's is; validate refuses larger values, which can overflow the f32 forward.
 VALID = {
     "dims": four(st.sampled_from((4, 8))),
     "depths": four(st.integers(1, 2)),
@@ -79,7 +79,8 @@ DAMAGED = {
     "norm": st.sampled_from(("instance", "", "MLN")),
     "activation": st.sampled_from(("tanh", "")),
     "layer_scale_init": st.one_of(st.sampled_from((float("nan"), float("inf"), -float("inf"))),
-                                  st.sampled_from((0.0, -0.5, 0))),
+                                  st.sampled_from((0.0, -0.5, 0)),
+                                  st.floats(1.0, 1e300, exclude_min=True), st.sampled_from((2, 1e9, 1e38))),
     "drop_path": st.sampled_from((-0.1, 1.0, 1.5, float("nan"), float("inf"))),
     "num_classes": st.sampled_from((0, -1)),
     "in_channels": st.sampled_from((0, -1)),

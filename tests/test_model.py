@@ -285,6 +285,7 @@ def test_mixer_config_resets_the_fields_its_kind_does_not_read():
 TINY_CUSTOM = {"dims": [8, 16, 32, 64], "depths": [1, 1, 2, 1], "num_classes": 4, "input_size": 32}
 
 NON_FINITE_LS = r"config\.custom\.layer_scale_init: must be finite"
+ABOVE_ONE_LS = r"config\.custom\.layer_scale_init: must be finite and <= 1.*got (1\.5|1000000000\.0|10\.0)$"
 MALFORMED_CUSTOM = {
     "scalar dims": ({"dims": 5}, r"config\.custom\.dims"),
     "string dims": ({"dims": ["8", "16", "32", "64"]}, r"config\.custom\.dims\[0\]"),
@@ -308,6 +309,11 @@ MALFORMED_CUSTOM = {
                                               NON_FINITE_LS),
     "-inf layer_scale_init, layer scale off": ({"use_layer_scale": False, "layer_scale_init": -float("inf")},
                                                NON_FINITE_LS),
+    # Finite but above 1: large enough values overflow the f32 forward.
+    "layer_scale_init above 1": ({"layer_scale_init": 1.5}, ABOVE_ONE_LS),
+    "layer_scale_init 1e9": ({"layer_scale_init": 1e9}, ABOVE_ONE_LS),
+    "layer_scale_init above 1, layer scale off": ({"use_layer_scale": False, "layer_scale_init": 10.0},
+                                                  ABOVE_ONE_LS),
 }
 
 
@@ -368,6 +374,9 @@ def test_config_validation_errors_carry_field_path():
         (r"^layer_scale_init: must be finite", dict(use_layer_scale=False, layer_scale_init=float("nan"))),
         (r"^layer_scale_init: must be finite", dict(use_layer_scale=False, layer_scale_init=float("inf"))),
         (r"^layer_scale_init: must be finite", dict(use_layer_scale=False, layer_scale_init=-float("inf"))),
+        (r"^layer_scale_init: must be finite and <= 1.*got 1\.0000001$", dict(layer_scale_init=1.0000001)),
+        (r"^layer_scale_init: must be finite and <= 1.*got 1e\+38$", dict(layer_scale_init=1e38)),
+        (r"^layer_scale_init: must be finite and <= 1.*got 2$", dict(use_layer_scale=False, layer_scale_init=2)),
         (r"^mixers\[1\]: expected MixerConfig, got 'pooling'",
          dict(mixers=(MixerConfig(), "pooling", MixerConfig(), MixerConfig()))),
         (r"^num_classes: must be >= 1, got 0", dict(num_classes=0)),
@@ -381,6 +390,7 @@ def test_config_validation_errors_carry_field_path():
         with pytest.raises(ConfigError, match=path):
             ModelConfig(**fields)
     ModelConfig(use_layer_scale=False, layer_scale_init=0.0)
+    ModelConfig(layer_scale_init=1.0)
 
 
 def test_forward_rejects_wrong_channel_count():

@@ -1,16 +1,19 @@
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from metaformer import train
+from metaformer.checkpoint import load, save
 from metaformer.gradcheck import check_tensor_gradient
 from metaformer.mixers import MixerConfig
 from metaformer.model import ModelConfig, build
-from metaformer.tensor import InvalidArgument, Tensor
+from metaformer.tensor import InvalidArgument, Tensor, _make
 from metaformer.train import (
     AdamW,
     cosine_lr,
@@ -21,7 +24,7 @@ from metaformer.train import (
     train_loop,
 )
 
-from oracles import loop_synth_sample
+from oracles import loop_adamw_step, loop_synth_sample
 
 MICRO = ModelConfig(dims=(8, 8, 16, 16), depths=(1, 1, 1, 1), num_classes=4,
                     input_size=32, drop_path=0.0)
@@ -80,6 +83,105 @@ def test_adamw_rejects_shape_mismatch():
     p.grad = np.zeros(3)
     with pytest.raises(InvalidArgument, match="shape"):
         opt.step(lr=0.1)
+
+
+def arena_case(dtype):
+    """MICRO's parameters plus three extras: one reached twice per graph, one off the loss path, one the caller fills."""
+    model = build(MICRO, seed=3, dtype=dtype)
+    rng = np.random.default_rng(3)
+    extras = [(name, Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype))
+              for name, shape in (("twice", (3, 4)), ("off_path", (2, 2)), ("assigned", (5,)))]
+    return model, list(model.named_parameters()) + extras
+
+
+def arena_backward(model, params, step, dtype):
+    """Fill the gradients of step ``step``; ``assigned`` gets its gradient from the caller."""
+    named = dict(params)
+    images, labels = synth_batch(0, 4 * step, 4)
+    rng = np.random.default_rng(step)
+    twice = named["twice"]
+    loss = (label_smoothing_ce(model.forward(Tensor(images, dtype=dtype), mode="train"), labels)
+            + (twice * twice * Tensor(rng.standard_normal((3, 4)), dtype=dtype)).sum())
+    loss.backward()
+    named["assigned"].grad = rng.standard_normal(5).astype(named["assigned"].dtype)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_adamw_arena_step_is_bit_identical_to_the_per_tensor_loop(dtype):
+    model, params = arena_case(dtype)
+    ref_model, ref_params = arena_case(dtype)
+    opt = AdamW(params, weight_decay=0.05)
+    m, v = {}, {}
+    for step in range(5):
+        opt.zero_grad()
+        for _, p in ref_params:
+            p.zero_grad()
+        arena_backward(model, params, step, dtype)
+        arena_backward(ref_model, ref_params, step, dtype)
+        assert dict(params)["off_path"].grad is None
+        lr = 1e-2 / (step + 1)
+        opt.step(lr)
+        loop_adamw_step(ref_params, m, v, step + 1, lr, 0.05)
+        for (name, p), (_, ref) in zip(params, ref_params):
+            assert p.data.dtype == ref.data.dtype and p.data.tobytes() == ref.data.tobytes(), (step, name)
+        for arena, moments in ((opt.m, m), (opt.v, v)):
+            assert arena.tobytes() == np.concatenate([moments[name].ravel() for name, _ in ref_params]).tobytes()
+
+
+def test_adamw_packs_every_parameter_into_its_arena_in_order():
+    model = build(MICRO, seed=1)
+    before = [(name, p.data.copy()) for name, p in model.named_parameters()]
+    opt = AdamW(list(model.named_parameters()))
+    assert opt.p.size == sum(a.size for _, a in before)
+    start = 0
+    for (name, p), (_, old) in zip(model.named_parameters(), before):
+        assert np.shares_memory(p.data, opt.p), name
+        assert p.data.shape == old.shape and np.array_equal(p.data, old), name
+        assert np.array_equal(opt.p[start:start + old.size], old.ravel()), name
+        start += old.size
+    images, labels = synth_batch(0, 0, 4)
+    label_smoothing_ce(model.forward(Tensor(images), mode="train"), labels).backward()
+    assert all(np.shares_memory(p.grad, opt.g) for _, p in model.named_parameters())
+
+
+def test_a_wrong_shape_leaf_gradient_is_refused():
+    p = make_param([1.0, 2.0])
+    AdamW([("p", p)])
+    bad = _make(np.array(0.0), (p,), lambda g: (np.ones(1),))
+    with pytest.raises(InvalidArgument, match=r"gradient shape \(1,\) != parameter shape \(2,\)"):
+        bad.backward()
+
+
+def test_a_first_gradient_of_negative_zero_keeps_its_sign_bit():
+    p = make_param([1.0, 1.0])
+    AdamW([("p", p)])
+    (p * Tensor(np.array([-0.0, 0.0]), dtype="f64")).sum().backward()
+    assert np.signbit(p.grad).tolist() == [True, False]
+
+
+def test_adamw_refuses_a_duplicate_tensor_and_mixed_dtypes_and_takes_no_parameters():
+    p = make_param([1.0])
+    with pytest.raises(InvalidArgument, match="listed twice"):
+        AdamW([("a", p), ("b", p)])
+    with pytest.raises(InvalidArgument, match="mix dtypes"):
+        AdamW([("a", p), ("b", Tensor(np.ones(2), requires_grad=True, dtype="f32"))])
+    empty = AdamW([])
+    empty.zero_grad()
+    empty.step(0.1)
+
+
+def test_save_load_save_is_byte_identical_after_adamw_steps(tmp_path):
+    model = build(MICRO, seed=4)
+    opt = AdamW(list(model.named_parameters()))
+    for step in range(3):
+        images, labels = synth_batch(4, 4 * step, 4)
+        opt.zero_grad()
+        label_smoothing_ce(model.forward(Tensor(images), mode="train"), labels).backward()
+        opt.step(1e-2)
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    save(model, str(first))
+    save(load(str(first)), str(second))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_default_peak_lr_relation():
@@ -290,6 +392,24 @@ def test_train_loop_refuses_out_of_range_values_before_writing_metrics(tmp_path,
     with pytest.raises(InvalidArgument, match=message):
         train_loop(MICRO, **{"steps": 2, "batch_size": 4, "metrics_path": str(path), **kwargs})
     assert not path.exists()
+
+
+def test_train_loop_drops_each_steps_graph_before_the_next_step(monkeypatch):
+    graphs = []
+    real_ce, real_batch = train.label_smoothing_ce, train.synth_batch
+
+    def ce(logits, labels, smoothing):
+        graphs.append(weakref.ref(logits.data))  # Tensor has no weakref slot; its array dies with it
+        return real_ce(logits, labels, smoothing)
+
+    def batch(*args):
+        assert all(ref() is None for ref in graphs), "an earlier step's logits are still alive"
+        return real_batch(*args)
+
+    monkeypatch.setattr(train, "label_smoothing_ce", ce)
+    monkeypatch.setattr(train, "synth_batch", batch)
+    train_loop(MICRO, steps=3, batch_size=4, lr_peak=1e-3)
+    assert len(graphs) == 3
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
