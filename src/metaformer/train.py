@@ -5,10 +5,10 @@ label-smoothing cross-entropy. AdamW keeps the parameters, their gradients
 and its two moments in one flat arena each, so a step is a fixed sequence of
 whole-arena numpy calls rather than one pass per tensor; its results are the
 bits of the per-tensor update. ``train_loop`` drops each step's graph once
-the step is done, so only one graph is alive at a time. The dataset draws one of four patterns
-(filled disk, filled square, horizontal stripes, vertical stripes) with
-seeded jitter and noise; sample generation is a pure function of
-(seed, index), so runs are bitwise reproducible.
+the step is done, so only one graph is alive at a time. The dataset draws
+one of four patterns (filled disk, filled square, horizontal stripes,
+vertical stripes) with seeded jitter and noise; sample generation is a pure
+function of (seed, index), so runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ class AdamW:
     arena per role: values ``p``, gradients ``g``, first moments ``m`` and
     second moments ``v``, rows of one ``[4, n]`` array over a single anonymous
     memory mapping, so its pages go back to the OS once the optimizer and its
-    parameters are dropped. Each parameter's ``data`` becomes a view of its
+    parameters are dropped (a model kept after training keeps the whole
+    mapping, four times its parameter bytes). Each parameter's ``data`` becomes a view of its
     slice of ``p`` and its leaf gradient lands in its slice of ``g`` during
     ``Tensor.backward``. ``step`` then updates the whole arena in blocks of
     ``ADAMW_BLOCK`` elements, with each element's operations in the same order
@@ -116,7 +117,8 @@ class AdamW:
             if p.grad is None:
                 view.fill(0)  # off the loss path: a zero gradient
             elif p.grad.shape != view.shape:
-                raise InvalidArgument(f"adamw: gradient shape {p.grad.shape} != parameter shape {view.shape} for {name}")
+                raise InvalidArgument(
+                    f"adamw: gradient shape {p.grad.shape} != parameter shape {view.shape} for {name}")
             else:
                 np.copyto(view, p.grad)  # assigned by the caller
         s1, s2 = self._scratch

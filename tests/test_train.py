@@ -86,7 +86,7 @@ def test_adamw_rejects_shape_mismatch():
 
 
 def arena_case(dtype):
-    """MICRO's parameters plus three extras: one reached twice per graph, one off the loss path, one the caller fills."""
+    """MICRO's parameters plus three: one reached twice per graph, one off the loss path, one the caller fills."""
     model = build(MICRO, seed=3, dtype=dtype)
     rng = np.random.default_rng(3)
     extras = [(name, Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype))
@@ -147,7 +147,7 @@ def test_adamw_packs_every_parameter_into_its_arena_in_order():
 def test_a_wrong_shape_leaf_gradient_is_refused():
     p = make_param([1.0, 2.0])
     AdamW([("p", p)])
-    bad = _make(np.array(0.0), (p,), lambda g: (np.ones(1),))
+    bad = _make(np.array(0.0), (p,), lambda g: (np.ones(1),))  # an op whose backward returns a wrong shape
     with pytest.raises(InvalidArgument, match=r"gradient shape \(1,\) != parameter shape \(2,\)"):
         bad.backward()
 
