@@ -8,7 +8,9 @@
 - the Tier-1 suite's wall time, in one fresh process;
 - criterion 9's pinned 300-step training run (tiny config, batch 32, seed
   0, peak lr 3e-3, no label smoothing), in one fresh process: its wall
-  seconds, last/first step loss ratio and last-batch accuracy.
+  seconds, last/first step loss ratio, last-batch accuracy, and from
+  ``getrusage`` the process's peak RSS and its minor page faults per step
+  over the run.
 
 It takes no options and measures the checkout it lives in. Each measurement
 prints one JSON line:
@@ -65,12 +67,16 @@ print(time.perf_counter() - start)
 """
 # The recipe of tests/test_acceptance.py::test_criterion_09_toy_training_regression.
 PINNED_RUN = """
-import json, time
+import json, resource, time
 from metaformer.train import tiny_train_config, train_loop
+steps = 300
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 start = time.perf_counter()
-metrics = train_loop(tiny_train_config(), steps=300, batch_size=32, seed=0, lr_peak=3e-3, label_smoothing=0.0).metrics
+metrics = train_loop(tiny_train_config(), steps=steps, batch_size=32, seed=0, lr_peak=3e-3, label_smoothing=0.0).metrics
 wall = time.perf_counter() - start
-print(json.dumps({"wall_s": wall, "ratio": metrics[-1]["loss"] / metrics[0]["loss"], "acc": metrics[-1]["train_acc"]}))
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({"wall_s": wall, "ratio": metrics[-1]["loss"] / metrics[0]["loss"], "acc": metrics[-1]["train_acc"],
+                  "peak_rss_kib": usage.ru_maxrss, "minflt_per_step": (usage.ru_minflt - faults) / steps}))
 """
 
 
@@ -113,7 +119,9 @@ def tier1() -> dict:
 def pinned_run() -> dict:
     result = json.loads(python(PINNED_RUN))
     return {"measurement": "criterion 9 pinned 300-step run", "wall_s": round(result["wall_s"], 2),
-            "loss_ratio": round(result["ratio"], 4), "train_acc": result["acc"]}
+            "loss_ratio": round(result["ratio"], 4), "train_acc": result["acc"],
+            "peak_rss_mib": round(result["peak_rss_kib"] / 1024, 1),
+            "minflt_per_step": round(result["minflt_per_step"], 1)}
 
 
 def main() -> int:

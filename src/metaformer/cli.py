@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation error (flags, config, shape/resolution
 mismatches), 2 runtime error (I/O failures, corrupt files, a non-finite
-training loss). Results go to stdout, diagnostics to stderr.
+training loss or inference output). Results go to stdout, diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -166,11 +167,19 @@ def cmd_infer(args) -> int:
         raise InvalidArgument(
             f"input tensor has {bad.size} non-finite values (first {image.flat[bad[0]]} at flat index {bad[0]})"
         )
-    logits = model.forward(Tensor(np.ascontiguousarray(image, dtype=np.float32)), mode="eval")
-    probs = softmax_lastdim(logits).data[0]
+    # A finite input can still overflow f32 inside the model; that is refused below, not warned about.
+    with np.errstate(all="ignore"):
+        logits = model.forward(Tensor(np.ascontiguousarray(image, dtype=np.float32)), mode="eval")
+        probs = softmax_lastdim(logits).data[0]
+    bad = np.flatnonzero(~np.isfinite(probs))
+    if bad.size:
+        raise FloatingPointError(
+            f"infer: {bad.size} of {probs.size} class probabilities are non-finite "
+            f"(first {probs[bad[0]]} for class {bad[0]}); the input overflows the model"
+        )
     k = min(args.topk, probs.size)
     top = np.argsort(-probs, kind="stable")[:k]
-    print(json.dumps([{"class": int(i), "probability": float(probs[i])} for i in top]))
+    print(json.dumps([{"class": int(i), "probability": float(probs[i])} for i in top], allow_nan=False))
     return 0
 
 

@@ -10,6 +10,10 @@ broadcast along, casts it to the parent's dtype and skips parents that
 record no graph. A parent listed twice gets its two products added in list
 order. A leaf packed into an optimizer's arena (``train.AdamW``) takes its
 first product by copy into its arena slice and adds later ones in place.
+The walk consumes the graph: each node drops its closure and its parents
+before its closure runs, so the activations a closure holds are freed once
+its products have reached the parents, and a second ``backward`` that
+reaches a spent node raises. Leaves are never spent.
 
 Kernel choices: k x k pooling is a separable box sum (k-1 row-shifted adds,
 then k-1 column-shifted adds); conv2d is im2col into K-major columns
@@ -90,7 +94,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.requires_grad = self.trainable = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._parents: tuple = ()
+        self._parents: Optional[tuple] = ()  # None once a backward has consumed this node
         self._backward_fn = None
         self._grad_out: Optional[np.ndarray] = None  # this leaf's slice of an optimizer's gradient arena
 
@@ -123,9 +127,13 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into all requires_grad leaves.
 
-        Each intermediate node's gradient is released once its closure has
-        run, so a second ``backward`` over the same graph adds the same
-        leaf gradients again.
+        Consumes the graph, as PyTorch's default ``retain_graph=False`` does:
+        each intermediate node drops its closure, its parents and its
+        gradient as the walk reaches it, so its activations go once its
+        gradient has been passed on. A later ``backward`` through a spent
+        node raises ``InvalidArgument`` before any gradient is added;
+        run the forward again instead. A leaf used as its own loss is not
+        spent, and accumulates on each call.
         """
         if self.data.size != 1:
             raise InvalidArgument(f"backward: loss must be scalar, got shape {self.shape}")
@@ -136,11 +144,15 @@ class Tensor:
             )
         order = _toposort(self)
         _accum(self, np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                for parent, g in zip(node._parents, node._backward_fn(node.grad)):
-                    _accum(parent, g)
-                node.grad = None
+        while order:
+            node = order.pop()
+            fn, parents, g = node._backward_fn, node._parents, node.grad
+            if fn is None:
+                continue  # a leaf, or a result that records no graph
+            node._backward_fn, node._parents, node.grad = None, None, None
+            if g is not None:
+                for parent, pg in zip(parents, fn(g)):
+                    _accum(parent, pg)
 
     # ----------------------------------------------------------- operators
     def __add__(self, other):
@@ -187,6 +199,11 @@ def _toposort(root: Tensor) -> list:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise InvalidArgument(
+                f"backward: the graph through a node of shape {node.shape} was consumed by an earlier "
+                "backward(); run the forward again"
+            )
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:

@@ -4,15 +4,19 @@ AdamW with decoupled weight decay, linear warmup into a cosine schedule,
 label-smoothing cross-entropy. AdamW keeps the parameters, their gradients
 and its two moments in one flat arena each, so a step is a fixed sequence of
 whole-arena numpy calls rather than one pass per tensor; its results are the
-bits of the per-tensor update. ``train_loop`` drops each step's graph once
-the step is done, so only one graph is alive at a time. The dataset draws
-one of four patterns (filled disk, filled square, horizontal stripes,
-vertical stripes) with seeded jitter and noise; sample generation is a pure
-function of (seed, index), so runs are bitwise reproducible.
+bits of the per-tensor update. Building an AdamW also raises glibc's malloc
+thresholds once per process, so the memory that a step's graph frees stays
+in the heap for the next step instead of going back to the OS and being
+faulted in again. The dataset draws one of four patterns (filled disk,
+filled square, horizontal stripes, vertical stripes) with seeded jitter and
+noise; sample generation is a pure function of (seed, index), so runs are
+bitwise reproducible.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import mmap
@@ -35,6 +39,31 @@ ADAMW_EPS = 1e-8
 DEFAULT_WEIGHT_DECAY = 0.05
 # Elements per pass of AdamW's update: one block of each arena row and of both scratch rows stay in cache.
 ADAMW_BLOCK = 16384
+# glibc mallopt parameters and the values training sets: the largest mmap
+# threshold glibc allows on 64-bit, and the trim threshold its dynamic rule
+# (twice the mmap threshold) would reach there.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Once per process: keep a training step's freed memory in the heap for the next step.
+
+    By default glibc returns the freed top of the heap to the OS (trim) and
+    serves large arrays by fresh mmaps, so each step faults the memory of
+    the last one back in. Both thresholds are set, because setting one turns
+    off glibc's dynamic adjustment of the other. Where libc has no
+    ``mallopt`` (macOS, for one) nothing is done.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOC_SETTINGS:
+        mallopt(param, value)
 
 
 def default_peak_lr(batch_size: int) -> float:
@@ -72,9 +101,13 @@ class AdamW:
     ``ADAMW_BLOCK`` elements, with each element's operations in the same order
     as a per-tensor update, so the results are the same bits. Packing a
     parameter into a second optimizer moves it to that optimizer's arena.
+    The first ``AdamW`` built in a process sets glibc's malloc mmap and trim
+    thresholds to 32 and 64 MiB, for the whole process, so the memory that
+    each step's graph frees is reused by the next step.
     """
 
     def __init__(self, params: List[Tuple[str, Tensor]], weight_decay: float = DEFAULT_WEIGHT_DECAY):
+        _keep_freed_heap()
         self.params = params
         self.weight_decay = weight_decay
         self.t = 0
@@ -276,7 +309,6 @@ def train_loop(
             lr = cosine_lr(step, warmup, steps, lr_peak)
             optimizer.step(lr)
             acc = float((logits.data.argmax(axis=1) == labels).mean())
-            del logits, loss  # the step's graph goes now, not once the next forward has built its own
             record = {"step": step, "lr": lr, "loss": loss_value, "train_acc": acc}
             metrics.append(record)
             if out is not None:

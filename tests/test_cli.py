@@ -346,6 +346,20 @@ def test_infer_rejects_non_finite_input(tmp_path, ckpt_and_input, capsys, value)
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0], err
 
 
+def test_infer_input_that_overflows_the_model_exits_2_with_one_line(tmp_path, ckpt_and_input):
+    # Finite, but f32 sums of it overflow: the logits and probabilities come out non-finite.
+    ckpt, _ = ckpt_and_input
+    signs = np.where(np.random.default_rng(0).random((1, 3, 32, 32)) > 0.5, 1.0, -1.0)
+    bad = str(tmp_path / "huge.mft")
+    save_tensors(bad, {"input": (3e38 * signs).astype(np.float32)})
+    proc = subprocess.run([sys.executable, "-m", "metaformer.cli", "infer", "--ckpt", ckpt, "--input", bad],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and re.fullmatch(r"error: infer: \d+ of 4 class probabilities are non-finite .*", err[0]), err
+
+
 @pytest.mark.parametrize("topk", ["0", "-1"])
 def test_infer_topk_below_1_exits_1_with_one_line(ckpt_and_input, capsys, topk):
     ckpt, inp = ckpt_and_input

@@ -383,33 +383,45 @@ def test_backward_from_a_root_that_records_no_graph_raises():
     assert x.grad is None
 
 
-def test_second_backward_accumulates_the_single_pass_gradient_again():
-    # x -> (2x).sum(): d/dx is 2, so two passes give 4; keeping the
-    # intermediate's gradient between passes would give 6.
+def test_a_second_backward_over_a_consumed_graph_raises_and_adds_nothing():
     x = Tensor(np.array([1.5, -3.0]), dtype="f64", requires_grad=True)
     loss = (x * 2.0).sum()
     loss.backward()
-    once = x.grad.copy()
-    np.testing.assert_array_equal(once, [2.0, 2.0])
-    loss.backward()
-    np.testing.assert_array_equal(x.grad, 2 * once)
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+    with pytest.raises(InvalidArgument, match="consumed by an earlier backward"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
-    # A scalar leaf as its own loss accumulates too.
-    x = Tensor(np.array([2.0]), dtype="f64", requires_grad=True)
-    x.backward()
-    x.backward()
-    np.testing.assert_array_equal(x.grad, [2.0])
-
-    # The same on a deeper graph where each leaf feeds one op: bit for bit.
+    # The same on a deeper graph: the leaves keep the first pass's bits.
     rng = np.random.default_rng(19)
     x = Tensor(rng.standard_normal((2, 4, 8, 8)), dtype="f32", requires_grad=True)
     w = Tensor(rng.standard_normal((4, 4, 3, 3)), dtype="f32", requires_grad=True)
     loss = (avg_pool2d_excl(gelu(conv2d(x, w, padding=(1, 1))), 3) * 0.5).sum()
     loss.backward()
     once = x.grad.copy(), w.grad.copy()
-    loss.backward()
-    np.testing.assert_array_equal(x.grad, 2 * once[0])
-    np.testing.assert_array_equal(w.grad, 2 * once[1])
+    with pytest.raises(InvalidArgument, match="consumed by an earlier backward"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, once[0])
+    np.testing.assert_array_equal(w.grad, once[1])
+
+
+def test_a_second_loss_through_a_consumed_subgraph_raises():
+    x = Tensor(np.array([0.5, -1.0, 2.0]), dtype="f64", requires_grad=True)
+    h = gelu(x * x)
+    a = h.sum()
+    b = (h * h).sum()
+    a.backward()
+    first = x.grad.copy()
+    with pytest.raises(InvalidArgument, match=r"node of shape \(3,\) was consumed"):
+        b.backward()
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def test_a_scalar_leaf_used_as_its_own_loss_accumulates_on_each_call():
+    x = Tensor(np.array([2.0]), dtype="f64", requires_grad=True)
+    x.backward()
+    x.backward()
+    np.testing.assert_array_equal(x.grad, [2.0])
 
 
 def test_backward_releases_intermediate_gradients_and_keeps_leaf_ones():
