@@ -463,8 +463,7 @@ print(json.dumps(faults[3:]))
 """
 
 
-@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
-                    reason="the malloc thresholds that AdamW sets are glibc's")
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc thresholds that AdamW sets are glibc's")
 def test_training_steps_reuse_the_heap_instead_of_faulting_it_back_in():
     src = str(Path(train.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
