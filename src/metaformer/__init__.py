@@ -7,7 +7,7 @@ random matrix, depthwise convolution, multi-head attention, or a spatial FC
 layer. Everything runs on a small numpy autodiff core.
 """
 
-from .analysis import CostReport, StageCost, cost_report, count_macs, count_params
+from .analysis import CostReport, StageCost, cost_report, count_params
 from .block import ChannelMlp, MetaFormerBlock, drop_path
 from .checkpoint import (
     CheckpointCorruptionError,
@@ -89,7 +89,6 @@ __all__ = [
     "conv2d",
     "cosine_lr",
     "cost_report",
-    "count_macs",
     "count_params",
     "default_peak_lr",
     "drop_path",

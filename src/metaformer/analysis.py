@@ -25,7 +25,6 @@ alternative convention from the reported subtotals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import List, Optional, Union
 
@@ -95,9 +94,6 @@ class CostReport:
                 for s in self.per_stage
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _norm_param_count(norm: str, channels: int) -> int:
@@ -202,8 +198,3 @@ def count_params(model_or_config: Union[Model, ModelConfig]) -> tuple:
         return trainable, frozen
     report = cost_report(model_or_config)
     return report.trainable_params, report.frozen_params
-
-
-def count_macs(model_or_config: Union[Model, ModelConfig], input_size: Optional[int] = None) -> int:
-    config = model_or_config.config if isinstance(model_or_config, Model) else model_or_config
-    return cost_report(config, input_size).macs

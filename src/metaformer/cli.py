@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -127,6 +128,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_toy(args) -> int:
     config = _load_config(args.config, None)
     metrics_path = args.metrics or (args.out + ".metrics.ndjson")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):  # refused before a run whose checkpoint save would fail
+        raise FileNotFoundError(f"--out: directory {os.path.dirname(args.out)!r} does not exist")
     # A non-finite loss stops training with one error line, not numpy's warnings about it.
     with np.errstate(all="ignore"):
         result = train_loop(
@@ -157,7 +160,7 @@ def cmd_infer(args) -> int:
     tensors = load_tensors(args.input)
     if set(tensors) != {"input"}:
         raise InvalidArgument(
-            f"input container must hold exactly one tensor named 'input', found {sorted(tensors)}"
+            f"input container must hold exactly one tensor named 'input', found {sorted(tensors)[:3]} of {len(tensors)}"
         )
     image = tensors["input"]
     if image.ndim != 4 or image.shape[0] != 1:

@@ -60,9 +60,6 @@ class MixerConfig:
         for name, check in MIXERS[self.kind].fields.items():
             check(getattr(self, name), f"{path}.{name}", channels)
 
-    def resolution_bound(self) -> bool:
-        return MIXERS[self.kind].resolution_bound
-
     def to_json_dict(self) -> dict:
         d = {"kind": self.kind}
         for name in MIXERS[self.kind].fields:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .block import MetaFormerBlock
 from .init import child_rng, trunc_normal
-from .mixers import MixerConfig
+from .mixers import MIXERS, MixerConfig
 from .module import Module
 from .norms import NORM_KINDS, make_norm
 from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d, conv_out_size, matmul
@@ -124,10 +124,7 @@ class ModelConfig:
             raise ConfigError(f"input_size: must be >= 32, the smallest input a forward accepts, got {self.input_size}")
 
     def resolution_bound(self) -> bool:
-        return any(m.resolution_bound() for m in self.mixers)
-
-    def total_blocks(self) -> int:
-        return sum(self.depths)
+        return any(MIXERS[m.kind].resolution_bound for m in self.mixers)
 
     # -------------------------------------------------------------- variants
     @property
@@ -255,7 +252,7 @@ class Model(Module):
         self.config = config
         rng = None if seed is None else child_rng(seed, 0)
         grids = stage_grids(config.input_size)
-        rates = iter(drop_path_schedule(config.drop_path, config.total_blocks()))
+        rates = iter(drop_path_schedule(config.drop_path, sum(config.depths)))
         in_ch = config.in_channels
         for s in range(4):
             kernel, stride, pad = EMBED_SPECS[s]

@@ -24,23 +24,19 @@ class _AffineNorm(Module):
         self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(channels), requires_grad=True, dtype=dtype)
 
-    def _normalize(self, x: Tensor, axes, moments=None) -> tuple:
-        """(affine((x - mean) / sqrt(var + eps)), mean, biased var), the moments taken over ``axes``; one graph node."""
-        return affine_norm(x, self.gamma, self.beta, axes, self.eps, moments)
-
 
 class ModifiedLayerNorm(_AffineNorm):
     """Normalizes each sample over all of (C, H, W), affine per channel."""
 
     def __call__(self, x: Tensor, mode: str = "eval") -> Tensor:
-        return self._normalize(x, (1, 2, 3))[0]
+        return affine_norm(x, self.gamma, self.beta, (1, 2, 3), self.eps)[0]
 
 
 class ChannelLayerNorm(_AffineNorm):
     """Normalizes each (b, h, w) position over channels only."""
 
     def __call__(self, x: Tensor, mode: str = "eval") -> Tensor:
-        return self._normalize(x, 1)[0]
+        return affine_norm(x, self.gamma, self.beta, 1, self.eps)[0]
 
 
 class BatchNorm(_AffineNorm):
@@ -66,7 +62,7 @@ class BatchNorm(_AffineNorm):
                 raise InvalidArgument(
                     f"batch_norm: train mode needs B*H*W >= 2 elements per channel, got {count}"
                 )
-            y, mu, var = self._normalize(x, (0, 2, 3))
+            y, mu, var = affine_norm(x, self.gamma, self.beta, (0, 2, 3), self.eps)
             m = BN_MOMENTUM
             unbiased = var.reshape(c) * (count / (count - 1))
             # In-place so checkpoint buffer references stay valid.
@@ -74,7 +70,7 @@ class BatchNorm(_AffineNorm):
             self.running_var[:] = (1 - m) * self.running_var + m * unbiased
             return y
         moments = (self.running_mean.reshape(1, c, 1, 1), self.running_var.reshape(1, c, 1, 1))
-        return self._normalize(x, (0, 2, 3), moments)[0]
+        return affine_norm(x, self.gamma, self.beta, (0, 2, 3), self.eps, moments)[0]
 
 
 class NoNorm(Module):

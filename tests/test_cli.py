@@ -254,6 +254,18 @@ def test_train_toy_out_of_range_values_exit_1_with_one_line(tmp_path, capsys, fl
     assert not ckpt.exists() and not (tmp_path / "out.ckpt.metrics.ndjson").exists()
 
 
+def test_train_toy_missing_out_directory_exits_2_before_training(tmp_path, capsys):
+    metrics = tmp_path / "m.ndjson"
+    argv = ["train-toy", "--config", write_config(tmp_path, MICRO_JSON), "--steps", "2", "--batch-size", "4",
+            "--out", str(tmp_path / "missing" / "x.ckpt"), "--metrics", str(metrics)]
+    assert run_main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and "missing" in err[0], err
+    assert not metrics.exists()
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
 def test_gradcheck_tolerance_not_finite_and_positive_exits_1_with_one_line(tmp_path, capsys, tolerance):
     argv = ["gradcheck", "--config", write_config(tmp_path, MICRO_JSON), "--tolerance", tolerance]
@@ -330,6 +342,15 @@ def test_infer_malformed_input_container_exits_1_with_one_line(tmp_path, ckpt_an
     err = captured.err.splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+
+
+def test_infer_model_checkpoint_as_input_exits_1_with_one_short_line(ckpt_and_input, capsys):
+    ckpt, _ = ckpt_and_input
+    assert run_main(["infer", "--ckpt", ckpt, "--input", ckpt]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 300, err
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

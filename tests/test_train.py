@@ -43,19 +43,21 @@ def make_param(values, seed=0):
 
 # ------------------------------------------------------------------- adamw
 
-def test_adamw_zero_grad_zero_wd_is_noop():
+def test_adamw_zero_grad_zero_wd_is_noop(monkeypatch):
+    monkeypatch.setattr(train, "ADAMW_WEIGHT_DECAY", 0.0)
     p = make_param([1.0, -2.0, 3.0])
-    opt = AdamW([("p", p)], weight_decay=0.0)
+    opt = AdamW([("p", p)])
     p.grad = np.zeros(3)
     before = p.data.copy()
     opt.step(lr=0.1)
     np.testing.assert_array_equal(p.data, before)
 
 
-def test_adamw_first_step_closed_form():
+def test_adamw_first_step_closed_form(monkeypatch):
+    monkeypatch.setattr(train, "ADAMW_WEIGHT_DECAY", 0.0)
     p = make_param([1.0, 1.0])
     g = np.array([0.5, -2.0])
-    opt = AdamW([("p", p)], weight_decay=0.0)
+    opt = AdamW([("p", p)])
     p.grad = g.copy()
     opt.step(lr=0.01)
     want = np.array([1.0, 1.0]) - 0.01 * g / (np.abs(g) + 1e-8)
@@ -73,7 +75,7 @@ def test_adamw_lr_zero_is_noop():
 
 def test_adamw_weight_decay_shrinks_monotonically():
     p = make_param([2.0, -2.0])
-    opt = AdamW([("p", p)], weight_decay=0.1)
+    opt = AdamW([("p", p)])
     prev = np.abs(p.data).copy()
     for _ in range(5):
         p.grad = np.zeros(2)
@@ -117,7 +119,7 @@ def arena_backward(model, params, step, dtype):
 def test_adamw_arena_step_is_bit_identical_to_the_per_tensor_loop(dtype):
     model, params = arena_case(dtype)
     ref_model, ref_params = arena_case(dtype)
-    opt = AdamW(params, weight_decay=0.05)
+    opt = AdamW(params)
     m, v = {}, {}
     for step in range(5):
         opt.zero_grad()
@@ -128,7 +130,7 @@ def test_adamw_arena_step_is_bit_identical_to_the_per_tensor_loop(dtype):
         assert dict(params)["off_path"].grad is None
         lr = 1e-2 / (step + 1)
         opt.step(lr)
-        loop_adamw_step(ref_params, m, v, step + 1, lr, 0.05)
+        loop_adamw_step(ref_params, m, v, step + 1, lr, train.ADAMW_WEIGHT_DECAY)
         for (name, p), (_, ref) in zip(params, ref_params):
             assert p.data.dtype == ref.data.dtype and p.data.tobytes() == ref.data.tobytes(), (step, name)
         for arena, moments in ((opt.m, m), (opt.v, v)):
@@ -393,6 +395,8 @@ def test_train_loop_of_one_step_runs_at_peak_lr_and_longer_runs_keep_their_warmu
     (dict(lr_peak=math.nan), "lr_peak must be finite"),
     (dict(lr_peak=-math.inf), "lr_peak must be finite"),
     (dict(seed=-1), "seed must be >= 0"),
+    (dict(label_smoothing=1.5), r"smoothing must lie in \[0, 1\)"),
+    (dict(label_smoothing=math.nan), r"smoothing must lie in \[0, 1\)"),
 ])
 def test_train_loop_refuses_out_of_range_values_before_writing_metrics(tmp_path, kwargs, message):
     path = tmp_path / "metrics.ndjson"
