@@ -128,7 +128,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_toy(args) -> int:
     config = _load_config(args.config, None)
     metrics_path = args.metrics or (args.out + ".metrics.ndjson")
-    if not os.path.isdir(os.path.dirname(args.out) or "."):  # refused before a run whose checkpoint save would fail
+    if not os.path.isdir(os.path.dirname(args.out) or "."):  # else save fails only after the whole run
         raise FileNotFoundError(f"--out: directory {os.path.dirname(args.out)!r} does not exist")
     # A non-finite loss stops training with one error line, not numpy's warnings about it.
     with np.errstate(all="ignore"):
