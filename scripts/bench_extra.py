@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time four workloads that perfbench does not run, each in fresh processes with one BLAS thread.
+"""Time five workloads that perfbench does not run, each in fresh processes with one BLAS thread.
 
 - ``checkpoint.load`` of M48: one process builds M48 and saves it to a
   temporary directory, then a fresh process times ``LOADS`` loads of that
@@ -10,7 +10,12 @@
   0, peak lr 3e-3, no label smoothing), in one fresh process: its wall
   seconds, last/first step loss ratio, last-batch accuracy, and from
   ``getrusage`` the process's peak RSS and its minor page faults per step
-  over the run.
+  over the run;
+- S12 serving at batch 8: one process builds S12 and saves it, then a
+  fresh process loads it (a model that records no graph) and runs
+  ``S12_FORWARDS`` eval forwards on one batch of 8 random 224² images. It
+  reports the process's peak RSS after the load and after the forwards, so
+  the forward's own memory is the difference, and the median forward time.
 
 It takes no options and measures the checkout it lives in. Each measurement
 prints one JSON line:
@@ -34,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LOADS = 5
 IMPORTS = 5
+S12_FORWARDS = 3
 ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
@@ -64,6 +70,28 @@ import time
 start = time.perf_counter()
 import metaformer
 print(time.perf_counter() - start)
+"""
+SAVE_S12 = """
+import sys
+from metaformer import ModelConfig, build
+from metaformer.checkpoint import save
+save(build(ModelConfig.variant_named("S12"), seed=0), sys.argv[1])
+"""
+SERVE_S12_B8 = """
+import json, resource, sys, time
+import numpy as np
+from metaformer.checkpoint import load
+from metaformer.tensor import Tensor
+model = load(sys.argv[1])
+load_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+images = Tensor(np.random.default_rng(0).random((8, 3, 224, 224), dtype=np.float32))
+seconds = []
+for _ in range(int(sys.argv[2])):
+    start = time.perf_counter()
+    model.forward(images, mode="eval")
+    seconds.append(time.perf_counter() - start)
+print(json.dumps({"seconds": seconds, "load_kib": load_kib,
+                  "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 # The recipe of tests/test_acceptance.py::test_criterion_09_toy_training_regression.
 PINNED_RUN = """
@@ -124,8 +152,18 @@ def pinned_run() -> dict:
             "minflt_per_step": round(result["minflt_per_step"], 1)}
 
 
+def s12_b8_serving() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s12.ckpt")
+        python(SAVE_S12, path)
+        result = json.loads(python(SERVE_S12_B8, path, str(S12_FORWARDS)))
+    return {"measurement": "S12 batch-8 graph-free serving", "forwards": S12_FORWARDS, **ms(result["seconds"]),
+            "peak_rss_after_load_mib": round(result["load_kib"] / 1024, 1),
+            "peak_rss_mib": round(result["peak_rss_kib"] / 1024, 1)}
+
+
 def main() -> int:
-    for measure in (m48_load, import_time, tier1, pinned_run):
+    for measure in (m48_load, import_time, tier1, pinned_run, s12_b8_serving):
         print(json.dumps(measure()), flush=True)
     return 0
 

@@ -9,6 +9,11 @@ LayerScale multiplies the branch before drop-path. ``use_residual=False``
 drops both "+ x"/"+ y" terms; ``use_channel_mlp=False`` skips the second
 sub-block entirely. Each norm and each "x + drop_path(ls * h)" is one graph
 node (``tensor.affine_norm``, ``tensor.residual_add``).
+
+A channel MLP that records no graph (neither its input nor any of its four
+fc tensors requires grad) runs one sample at a time, so that only one
+sample's [1, 4C, H, W] hidden array is alive instead of the batch's; see
+``ChannelMlp``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,16 @@ MLP_RATIO = 4
 
 
 class ChannelMlp(Module):
-    """Two 1x1 convolutions with a nonlinearity between them, hidden width 4C."""
+    """Two 1x1 convolutions with a nonlinearity between them, hidden width 4C.
+
+    A call that records no graph on a batch of two or more runs fc1, the
+    activation and fc2 on one sample at a time and writes each result into
+    one preallocated [B, C, H, W] output. The outputs are bit-identical to
+    the whole-batch call: a 1x1 conv takes ``conv2d``'s direct path, which
+    is already one GEMM per sample, and the activations are elementwise.
+    A call that records a graph runs on the whole batch, so training and
+    its backward are unchanged.
+    """
 
     def __init__(self, channels: int, activation: str, rng: np.random.Generator, dtype="f32"):
         hidden = MLP_RATIO * channels
@@ -42,8 +56,15 @@ class ChannelMlp(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         act = ACTIVATIONS[self.activation]
-        h = act(conv2d(x, self.fc1_weight, self.fc1_bias))
-        return conv2d(h, self.fc2_weight, self.fc2_bias)
+        fc1 = (self.fc1_weight, self.fc1_bias)
+        fc2 = (self.fc2_weight, self.fc2_bias)
+        batch = x.shape[0] if x.ndim == 4 else 0
+        if batch < 2 or any(t.requires_grad for t in (x,) + fc1 + fc2):
+            return conv2d(act(conv2d(x, *fc1)), *fc2)
+        out = np.empty((batch, self.fc2_weight.shape[0]) + x.shape[2:], x.dtype)
+        for b in range(batch):
+            out[b] = conv2d(act(conv2d(Tensor(x.data[b : b + 1]), *fc1)), *fc2).data[0]
+        return Tensor(out)
 
 
 def _drop_mask(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:

@@ -234,6 +234,13 @@ def save_tensors(path: str, tensors: Dict[str, np.ndarray]) -> None:
     _write_container(path, {name: (np.asarray(a), False) for name, a in tensors.items()}, None)
 
 
+def tensor_shapes(path: str) -> Dict[str, tuple]:
+    """The shape of every named array of a container, in manifest order, from the manifest alone."""
+    with _open(path) as f:
+        _, entries = _read_manifest(f, path)
+    return {name: shape for name, (shape, _) in entries.items()}
+
+
 def load_tensors(path: str) -> Dict[str, np.ndarray]:
     """Every named array of a container, each read from the file into a fresh little-endian f32 array."""
     with _open(path) as f:

@@ -24,6 +24,7 @@ from .checkpoint import (
     load,
     load_tensors,
     save,
+    tensor_shapes,
 )
 from .gradcheck import check_parameter_group
 from .model import VARIANTS, ConfigError, ModelConfig, build, stage_grids
@@ -128,8 +129,11 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_toy(args) -> int:
     config = _load_config(args.config, None)
     metrics_path = args.metrics or (args.out + ".metrics.ndjson")
-    if not os.path.isdir(os.path.dirname(args.out) or "."):  # else save fails only after the whole run
+    # Refused before training: save would fail only after the whole run.
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(f"--out: directory {os.path.dirname(args.out)!r} does not exist")
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(f"--out: {args.out!r} is a directory, not a checkpoint path")
     # A non-finite loss stops training with one error line, not numpy's warnings about it.
     with np.errstate(all="ignore"):
         result = train_loop(
@@ -157,14 +161,14 @@ def cmd_infer(args) -> int:
     if args.topk < 1:
         raise InvalidArgument(f"--topk must be >= 1, got {args.topk}")
     model = load(args.ckpt)
-    tensors = load_tensors(args.input)
-    if set(tensors) != {"input"}:
+    shapes = tensor_shapes(args.input)  # checked before any payload byte is read
+    if set(shapes) != {"input"}:
         raise InvalidArgument(
-            f"input container must hold exactly one tensor named 'input', found {sorted(tensors)[:3]} of {len(tensors)}"
+            f"input container must hold exactly one tensor named 'input', found {sorted(shapes)[:3]} of {len(shapes)}"
         )
-    image = tensors["input"]
-    if image.ndim != 4 or image.shape[0] != 1:
-        raise InvalidArgument(f"input tensor must have shape [1, C, H, W], got {list(image.shape)}")
+    if len(shapes["input"]) != 4 or shapes["input"][0] != 1:
+        raise InvalidArgument(f"input tensor must have shape [1, C, H, W], got {list(shapes['input'])}")
+    image = load_tensors(args.input)["input"]
     bad = np.flatnonzero(~np.isfinite(image))
     if bad.size:
         raise InvalidArgument(

@@ -620,12 +620,16 @@ def conv2d(
         )
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
-    # Backward rebuilds the columns from this view: holding the column copy would grow the graph.
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     w_g = weight.data.reshape(groups, cout // groups, cin_g * kh * kw)
     # 1x1, stride 1, unpadded, ungrouped: x is its own column matrix, so W @ x[b] per sample.
     # Kept beside im2col: without it train-tiny ran slower and infer-s12-b8 peaked 2.9 MiB higher.
     direct = (kh, kw, sh, sw, ph, pw, groups) == (1, 1, 1, 1, 0, 0, 1)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    # Backward rebuilds the columns from this view: holding the column copy would grow the graph.
+    # A direct conv that records no graph never reads it, and building it costs as much as a tiny GEMM.
+    win = None
+    if not direct or any(p.requires_grad for p in parents):
+        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     if direct:
         y = np.matmul(w_g[0], x.data.reshape(B, cin, H * W))
     else:
@@ -633,8 +637,6 @@ def conv2d(
     y = np.ascontiguousarray(y.reshape(B, cout, hout, wout))
     if bias is not None:
         y += bias.data.reshape(1, cout, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
         g_g = g.transpose(1, 0, 2, 3).reshape(groups, cout // groups, B * hout * wout)

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from metaformer.block import ChannelMlp, MetaFormerBlock, drop_path
+from metaformer import block
+from metaformer.block import MLP_RATIO, ChannelMlp, MetaFormerBlock, drop_path
 from metaformer.gradcheck import check_tensor_gradient
 from metaformer.mixers import MixerConfig
 from metaformer.model import ConfigError, ModelConfig, build
 from metaformer.norms import BatchNorm
-from metaformer.tensor import InvalidArgument, Tensor
+from metaformer.tensor import ACTIVATIONS, InvalidArgument, Tensor
 
 
 def rng64(seed=0):
@@ -50,6 +53,78 @@ def test_mlp_parameter_count_closed_form():
         n = sum(t.data.size for _, t in mlp.named_parameters("m"))
         assert n == 8 * c * c + 5 * c
     assert 8 * 320 * 320 + 5 * 320 == 820_800
+
+
+# ------------------------------------------------ graph-free channel MLP
+
+def mlp_and_input(activation="gelu", dtype="f64", batch=3, channels=8, grid=(6, 5), seed=0):
+    """A ChannelMlp with nonzero biases and a [batch, channels, *grid] input."""
+    mlp = ChannelMlp(channels, activation, rng64(seed), dtype=dtype)
+    for bias in (mlp.fc1_bias, mlp.fc2_bias):
+        bias.data[:] = rng64(seed + 1).standard_normal(bias.shape)
+    x = Tensor(rng64(seed + 2).standard_normal((batch, channels) + grid), dtype=dtype)
+    return mlp, x
+
+
+def state_bytes(module):
+    return {name: (v.data if isinstance(v, Tensor) else v).tobytes() for name, v in module.named_state()}
+
+
+def count_conv2d(monkeypatch):
+    """Batch sizes of the conv2d calls ChannelMlp makes from now on."""
+    batches = []
+    real = block.conv2d
+    monkeypatch.setattr(block, "conv2d", lambda x, *args: batches.append(x.shape[0]) or real(x, *args))
+    return batches
+
+
+@pytest.mark.parametrize("activation", tuple(ACTIVATIONS))
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_graph_free_mlp_is_bit_identical_to_the_recording_forward(activation, dtype, batch, monkeypatch):
+    mlp, x = mlp_and_input(activation, dtype, batch)
+    recorded = mlp(x)
+    assert recorded.requires_grad
+    x_before, state_before = x.data.tobytes(), state_bytes(mlp)
+    calls = count_conv2d(monkeypatch)
+    free = mlp.requires_grad_(False)(x)
+    assert not free.requires_grad and free.dtype == recorded.dtype and free.shape == recorded.shape
+    assert free.data.tobytes() == recorded.data.tobytes()
+    assert x.data.tobytes() == x_before and state_bytes(mlp) == state_before
+    assert calls == [1] * 2 * batch  # fc1 and fc2 once per sample
+
+
+@pytest.mark.parametrize("recording", ["x", "fc1_weight", "fc1_bias", "fc2_weight", "fc2_bias"])
+def test_mlp_with_anything_recording_a_graph_runs_on_the_whole_batch(recording, monkeypatch):
+    mlp, x = mlp_and_input(batch=3)
+    mlp.requires_grad_(False)
+    leaf = x if recording == "x" else getattr(mlp, recording)
+    leaf.requires_grad = True
+    calls = count_conv2d(monkeypatch)
+    y = mlp(x)
+    assert calls == [3, 3]
+    assert y.requires_grad and y._parents
+    y.sum().backward()
+    assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+
+def test_graph_free_mlp_streams_so_its_peak_stays_below_one_batch_hidden_array():
+    # Alive at once: the [B,C,H,W] output and one sample's fc1 output, CDF and GELU output,
+    # (B + 3 * 4) * C*H*W values, against 4B * C*H*W for one batch hidden array; the
+    # whole-batch call keeps three of those. Below it for B > 4, so B = 8.
+    batch, channels, grid = 8, 8, (16, 16)
+    mlp, x = mlp_and_input(batch=batch, channels=channels, grid=grid)
+    mlp.requires_grad_(False)
+    mlp(x)  # the first f64 GELU imports scipy's erf
+    hidden_bytes = batch * MLP_RATIO * channels * grid[0] * grid[1] * 8
+    tracemalloc.start()
+    try:
+        y = mlp(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == x.shape
+    assert peak < hidden_bytes, (peak, hidden_bytes)
 
 
 # ---------------------------------------------------------------- drop path

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from metaformer import cli
+from metaformer import checkpoint, cli
 from metaformer.checkpoint import save, save_tensors
 from metaformer.model import ModelConfig, build
 from metaformer.tensor import ACTIVATIONS, gelu
@@ -266,6 +266,21 @@ def test_train_toy_missing_out_directory_exits_2_before_training(tmp_path, capsy
     assert not metrics.exists()
 
 
+def test_train_toy_out_naming_a_directory_exits_2_before_training(tmp_path, capsys):
+    metrics = tmp_path / "m.ndjson"
+    out = tmp_path / "outdir"
+    out.mkdir()
+    argv = ["train-toy", "--config", write_config(tmp_path, MICRO_JSON), "--steps", "2", "--batch-size", "4",
+            "--out", str(out), "--metrics", str(metrics)]
+    assert run_main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and "is a directory" in err[0], err
+    assert not metrics.exists()
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
 def test_gradcheck_tolerance_not_finite_and_positive_exits_1_with_one_line(tmp_path, capsys, tolerance):
     argv = ["gradcheck", "--config", write_config(tmp_path, MICRO_JSON), "--tolerance", tolerance]
@@ -351,6 +366,26 @@ def test_infer_model_checkpoint_as_input_exits_1_with_one_short_line(ckpt_and_in
     err = captured.err.splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 300, err
+
+
+@pytest.mark.parametrize("tensors,message", [
+    ({"image": np.zeros((1, 3, 32, 32), np.float32)}, "exactly one tensor named 'input'"),
+    ({"input": np.zeros((2, 3, 32, 32), np.float32)}, "shape [1, C, H, W], got [2, 3, 32, 32]"),
+])
+def test_infer_refuses_input_names_and_shape_before_reading_any_payload(tmp_path, ckpt_and_input, capsys,
+                                                                        monkeypatch, tensors, message):
+    ckpt, _ = ckpt_and_input
+    bad = str(tmp_path / "bad.mft")
+    save_tensors(bad, tensors)
+    reads = []
+    real_read_into = checkpoint._read_into
+    monkeypatch.setattr(checkpoint, "_read_into", lambda f, path, *rest: reads.append(path) or real_read_into(f, path, *rest))
+    assert run_main(["infer", "--ckpt", ckpt, "--input", bad]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+    assert reads and bad not in reads  # the checkpoint's payload was read, the input's was not
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -17,7 +17,7 @@ from metaformer.model import (
     stage_grids,
     stage_plan,
 )
-from metaformer.tensor import InvalidArgument, Tensor, matmul
+from metaformer.tensor import ACTIVATIONS, InvalidArgument, Tensor, matmul
 from metaformer.train import tiny_train_config
 from oracles import loop_trunc_normal
 
@@ -238,6 +238,24 @@ def test_full_model_gradients_match_finite_differences():
 
 
 # -------------------------------------------------------------------- config
+
+@pytest.mark.parametrize("activation", tuple(ACTIVATIONS))
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("norm", ["mln", "bn"])
+def test_graph_free_forward_is_bit_identical_to_the_recording_eval_forward(activation, dtype, batch, norm):
+    model = build(replace(MICRO, activation=activation, norm=norm), seed=0, dtype=dtype)
+    x = Tensor(np.random.default_rng(1).random((batch, 3, 32, 32)), dtype=dtype)
+    recorded = model.forward(x, mode="eval")
+    assert recorded.requires_grad
+    x_before = x.data.tobytes()
+    state_before = {name: arr.tobytes() for name, (arr, _) in model.state_arrays().items()}
+    free = model.requires_grad_(False).forward(x, mode="eval")
+    assert not free.requires_grad
+    assert free.data.tobytes() == recorded.data.tobytes()
+    assert x.data.tobytes() == x_before
+    assert {name: arr.tobytes() for name, (arr, _) in model.state_arrays().items()} == state_before
+
 
 def test_config_json_roundtrip_variant():
     cfg = ModelConfig.variant_named("S24")
