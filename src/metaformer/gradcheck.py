@@ -56,8 +56,8 @@ def check_tensor_gradient(
     ``loss_fn`` must rebuild the scalar loss from current leaf values on
     every call; the analytic gradient is taken from a single backward pass.
     The tensors in ``graph_free`` have ``requires_grad`` switched off during
-    the finite-difference forwards, so those need record no graph, and
-    switched back afterwards.
+    the finite-difference forwards, which then need not record a graph, and
+    restored afterwards.
     """
     if leaf.data.dtype != np.float64:
         raise ValueError("gradient checks require f64 leaves")
@@ -65,13 +65,13 @@ def check_tensor_gradient(
     loss = loss_fn()
     loss.backward()
     analytic_full = leaf.grad_array()
-    graph_free = [(t, t.requires_grad) for t in graph_free]
+    saved = [(t, t.requires_grad) for t in graph_free]
     try:
-        for t, _ in graph_free:
+        for t, _ in saved:
             t.requires_grad = False
         numeric = numeric_gradient(lambda: float(loss_fn().data.reshape(())), leaf.data, coords)
     finally:
-        for t, flag in graph_free:
+        for t, flag in saved:
             t.requires_grad = flag
     idxs = list(numeric.keys())
     analytic = np.array([analytic_full[i] for i in idxs])

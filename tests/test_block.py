@@ -74,7 +74,12 @@ def count_conv2d(monkeypatch):
     """Batch sizes of the conv2d calls ChannelMlp makes from now on."""
     batches = []
     real = block.conv2d
-    monkeypatch.setattr(block, "conv2d", lambda x, *args: batches.append(x.shape[0]) or real(x, *args))
+
+    def counting_conv2d(x, *args):
+        batches.append(x.shape[0])
+        return real(x, *args)
+
+    monkeypatch.setattr(block, "conv2d", counting_conv2d)
     return batches
 
 

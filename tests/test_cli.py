@@ -379,7 +379,12 @@ def test_infer_refuses_input_names_and_shape_before_reading_any_payload(tmp_path
     save_tensors(bad, tensors)
     reads = []
     real_read_into = checkpoint._read_into
-    monkeypatch.setattr(checkpoint, "_read_into", lambda f, path, *rest: reads.append(path) or real_read_into(f, path, *rest))
+
+    def counting_read_into(f, path, *rest):
+        reads.append(path)
+        return real_read_into(f, path, *rest)
+
+    monkeypatch.setattr(checkpoint, "_read_into", counting_read_into)
     assert run_main(["infer", "--ckpt", ckpt, "--input", bad]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
