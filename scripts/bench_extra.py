@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time five workloads that perfbench does not run, each in fresh processes with one BLAS thread.
+"""Time six workloads that perfbench does not run, each in fresh processes with one BLAS thread.
 
 - ``checkpoint.load`` of M48: one process builds M48 and saves it to a
   temporary directory, then a fresh process times ``LOADS`` loads of that
@@ -15,7 +15,11 @@
   fresh process loads it (a model that records no graph) and runs
   ``S12_FORWARDS`` eval forwards on one batch of 8 random 224² images. It
   reports the process's peak RSS after the load and after the forwards, so
-  the forward's own memory is the difference, and the median forward time.
+  the forward's own memory is the difference, and the median forward time;
+- ``metaformer gradcheck`` on the CLI tests' tiny config
+  (``tests/test_cli.py``'s ``TINY_JSON``), seed 0: ``cli.main`` timed once
+  in each of ``GRADCHECKS`` fresh processes, with its exit code and the
+  summary line it prints.
 
 It takes no options and measures the checkout it lives in. Each measurement
 prints one JSON line:
@@ -40,6 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LOADS = 5
 IMPORTS = 5
 S12_FORWARDS = 3
+GRADCHECKS = 5
 ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
@@ -107,6 +112,23 @@ print(json.dumps({"wall_s": wall, "ratio": metrics[-1]["loss"] / metrics[0]["los
                   "peak_rss_kib": usage.ru_maxrss, "minflt_per_step": (usage.ru_minflt - faults) / steps}))
 """
 
+TIME_GRADCHECK = """
+import contextlib, io, json, os, sys, tempfile, time
+sys.path.insert(0, sys.argv[1])
+from test_cli import TINY_JSON
+from metaformer import cli
+with tempfile.TemporaryDirectory() as tmp:
+    config = os.path.join(tmp, "tiny.json")
+    with open(config, "w") as f:
+        json.dump(TINY_JSON, f)
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["gradcheck", "--config", config, "--seed", "0"])
+    seconds = time.perf_counter() - start
+print(json.dumps({"seconds": seconds, "exit_code": code, "summary": out.getvalue().splitlines()[-1]}))
+"""
+
 
 def python(code: str, *args: str) -> str:
     """The stdout of ``code`` run in a fresh interpreter."""
@@ -162,8 +184,15 @@ def s12_b8_serving() -> dict:
             "peak_rss_mib": round(result["peak_rss_kib"] / 1024, 1)}
 
 
+def gradcheck_tiny() -> dict:
+    runs = [json.loads(python(TIME_GRADCHECK, str(ROOT / "tests"))) for _ in range(GRADCHECKS)]
+    return {"measurement": "gradcheck tiny config seed 0", "processes": GRADCHECKS,
+            **ms([r["seconds"] for r in runs]), "exit_codes": sorted({r["exit_code"] for r in runs}),
+            "summary": runs[0]["summary"]}
+
+
 def main() -> int:
-    for measure in (m48_load, import_time, tier1, pinned_run, s12_b8_serving):
+    for measure in (m48_load, import_time, tier1, pinned_run, s12_b8_serving, gradcheck_tiny):
         print(json.dumps(measure()), flush=True)
     return 0
 

@@ -171,11 +171,17 @@ def _read_into(f, path: str, name: str, offset: int, out: np.ndarray) -> None:
 
 
 def save(model: Model, path: str) -> None:
-    """Write the model's config and every persistent array to ``path``; f32 models only."""
+    """Write the model's config and every persistent array to ``path``; f32 models only.
+
+    A tensor holding a NaN or an infinity is refused with ``FloatingPointError``
+    before ``path`` is opened, since ``load`` would refuse the file.
+    """
     state = model.state_arrays()
     for name, (arr, _) in state.items():
         if arr.dtype != np.float32:
             raise InvalidArgument(f"save: tensor {name!r} is {arr.dtype.name}; containers hold float32 models only")
+        if not np.isfinite(arr).all():
+            raise FloatingPointError(f"save: tensor {name!r} holds a non-finite value; {path!r} not written")
     _write_container(path, state, model.config.to_json_dict())
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation error (flags, config, shape/resolution
 mismatches), 2 runtime error (I/O failures, corrupt files, a non-finite
-training loss or inference output). Results go to stdout, diagnostics to
+training loss, checkpoint or inference output, an allocation that fails).
+Each refusal is one ``error:`` line. Results go to stdout, diagnostics to
 stderr.
 """
 
@@ -96,13 +97,10 @@ def cmd_gradcheck(args) -> int:
     report = cost_report(config)
     total = report.trainable_params + report.frozen_params
     if total > GRADCHECK_PARAM_LIMIT:
-        print(
-            f"gradcheck refuses configs over {GRADCHECK_PARAM_LIMIT:,} parameters "
-            f"(this one has {total:,}); finite differences in f64 would be impractically slow. "
-            f"Shrink dims/depths for checking.",
-            file=sys.stderr,
+        raise InvalidArgument(
+            f"gradcheck refuses configs over {GRADCHECK_PARAM_LIMIT:,} parameters (this one has {total:,}); "
+            "finite differences in f64 would be impractically slow. Shrink dims/depths for checking."
         )
-        return 1
     model = build(config, seed=args.seed, dtype="f64")
     rng = np.random.default_rng(args.seed)
     size = config.input_size
@@ -237,6 +235,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except (CheckpointFormatError, CheckpointCorruptionError, FloatingPointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # an allocation sized by a flag or a config that the host cannot back
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -10,11 +10,11 @@ while still bounding their absolute error by tol * 1e-2.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import InvalidArgument, Tensor
 
 STEP = 1e-5
 _REL_FLOOR = 1e-2
@@ -28,55 +28,62 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def numeric_gradient(
     loss_fn: Callable[[], float],
     array: np.ndarray,
-    coords: Optional[Iterable[Tuple[int, ...]]] = None,
-) -> Dict[Tuple[int, ...], float]:
-    """Central differences of ``loss_fn`` w.r.t. entries of ``array`` (mutated in place, restored)."""
+    coords: Optional[Sequence[Tuple[int, ...]]] = None,
+) -> np.ndarray:
+    """Central differences of ``loss_fn`` w.r.t. entries of ``array`` (mutated in place, restored), in coords order."""
     if coords is None:
         coords = list(np.ndindex(array.shape))
-    grads: Dict[Tuple[int, ...], float] = {}
-    for idx in coords:
+    grads = np.empty(len(coords))
+    for k, idx in enumerate(coords):
         orig = array[idx]
         array[idx] = orig + STEP
         lo_hi = loss_fn()
         array[idx] = orig - STEP
         lo_lo = loss_fn()
         array[idx] = orig
-        grads[idx] = (lo_hi - lo_lo) / (2.0 * STEP)
+        grads[k] = (lo_hi - lo_lo) / (2.0 * STEP)
     return grads
+
+
+def _check_leaves(loss_fn: Callable[[], Tensor], leaves: Sequence[tuple]) -> list:
+    """Max relative error of each (leaf, coords) pair; ``None`` coords mean every element.
+
+    One recorded forward and one backward give every leaf's analytic gradient.
+    The finite-difference forwards run with the leaves' ``requires_grad`` off,
+    restored afterwards also when ``loss_fn`` raises.
+    """
+    if any(leaf.data.dtype != np.float64 for leaf, _ in leaves):
+        raise InvalidArgument("gradient checks require f64 leaves")
+    leaves = [(leaf, list(np.ndindex(leaf.shape)) if coords is None else coords) for leaf, coords in leaves]
+    for leaf, _ in leaves:
+        leaf.zero_grad()
+    loss_fn().backward()
+    analytic = []
+    for leaf, coords in leaves:
+        grad = leaf.grad_array()
+        analytic.append(np.array([grad[i] for i in coords]))
+    flags = [leaf.requires_grad for leaf, _ in leaves]
+    try:
+        for leaf, _ in leaves:
+            leaf.requires_grad = False
+        return [relative_error(a, numeric_gradient(lambda: float(loss_fn().data.reshape(())), leaf.data, coords))
+                for a, (leaf, coords) in zip(analytic, leaves)]
+    finally:
+        for (leaf, _), flag in zip(leaves, flags):
+            leaf.requires_grad = flag
 
 
 def check_tensor_gradient(
     loss_fn: Callable[[], Tensor],
     leaf: Tensor,
     coords: Optional[Sequence[Tuple[int, ...]]] = None,
-    graph_free: Iterable[Tensor] = (),
 ) -> float:
     """Max relative error between recorded and finite-difference gradients of one leaf.
 
     ``loss_fn`` must rebuild the scalar loss from current leaf values on
     every call; the analytic gradient is taken from a single backward pass.
-    The tensors in ``graph_free`` have ``requires_grad`` switched off during
-    the finite-difference forwards, which then need not record a graph, and
-    restored afterwards.
     """
-    if leaf.data.dtype != np.float64:
-        raise ValueError("gradient checks require f64 leaves")
-    leaf.zero_grad()
-    loss = loss_fn()
-    loss.backward()
-    analytic_full = leaf.grad_array()
-    saved = [(t, t.requires_grad) for t in graph_free]
-    try:
-        for t, _ in saved:
-            t.requires_grad = False
-        numeric = numeric_gradient(lambda: float(loss_fn().data.reshape(())), leaf.data, coords)
-    finally:
-        for t, flag in saved:
-            t.requires_grad = flag
-    idxs = list(numeric.keys())
-    analytic = np.array([analytic_full[i] for i in idxs])
-    approx = np.array([numeric[i] for i in idxs])
-    return relative_error(analytic, approx)
+    return _check_leaves(loss_fn, [(leaf, coords)])[0]
 
 
 def sample_coords(shape: tuple, max_coords: int, rng: np.random.Generator) -> list:
@@ -98,13 +105,9 @@ def check_parameter_group(
     """Per-parameter max relative error for a model-sized loss.
 
     Coordinates are subsampled per tensor (seeded, deterministic) so the cost
-    stays proportional to the number of tensors rather than of scalars. The
-    finite-difference forwards run with every tensor of ``params`` out of the
-    graph, which makes them cheaper and leaves their values unchanged.
+    stays proportional to the number of tensors rather than of scalars. One
+    backward gives every tensor's analytic gradient.
     """
     rng = np.random.default_rng(seed)
-    report: Dict[str, float] = {}
-    for name, p in params.items():
-        coords = sample_coords(p.shape, max_coords_per_tensor, rng)
-        report[name] = check_tensor_gradient(loss_fn, p, coords=coords, graph_free=params.values())
-    return report
+    leaves = [(p, sample_coords(p.shape, max_coords_per_tensor, rng)) for p in params.values()]
+    return dict(zip(params, _check_leaves(loss_fn, leaves)))

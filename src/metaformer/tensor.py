@@ -625,16 +625,10 @@ def conv2d(
     # Kept beside im2col: without it train-tiny ran slower and infer-s12-b8 peaked 2.9 MiB higher.
     direct = (kh, kw, sh, sw, ph, pw, groups) == (1, 1, 1, 1, 0, 0, 1)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    # Backward rebuilds the columns from this view: holding the column copy would grow the graph.
-    # A direct conv that records no graph never reads it; building it costs about 12 us a call (2-core x86_64),
-    # which the graph-free channel MLP would pay twice per sample.
-    win = None
-    if not direct or any(p.requires_grad for p in parents):
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     if direct:
         y = np.matmul(w_g[0], x.data.reshape(B, cin, H * W))
     else:
-        y = np.matmul(w_g, _im2col(win, groups)).reshape(cout, B, hout, wout).transpose(1, 0, 2, 3)
+        y = np.matmul(w_g, _im2col(xp, kh, kw, sh, sw, groups)).reshape(cout, B, hout, wout).transpose(1, 0, 2, 3)
     y = np.ascontiguousarray(y.reshape(B, cout, hout, wout))
     if bias is not None:
         y += bias.data.reshape(1, cout, 1, 1)
@@ -642,8 +636,8 @@ def conv2d(
     def backward(g):
         g_g = g.transpose(1, 0, 2, 3).reshape(groups, cout // groups, B * hout * wout)
         g_x = g_w = None
-        if weight.requires_grad:
-            g_w = np.matmul(g_g, _im2col(win, groups).swapaxes(1, 2)).reshape(weight.shape)
+        if weight.requires_grad:  # columns rebuilt from xp: holding the forward's copy would grow the graph
+            g_w = np.matmul(g_g, _im2col(xp, kh, kw, sh, sw, groups).swapaxes(1, 2)).reshape(weight.shape)
         if x.requires_grad and direct:
             g_x = np.matmul(w_g[0].T, g.reshape(B, cout, H * W)).reshape(x.shape)
         elif x.requires_grad:
@@ -658,9 +652,10 @@ def conv2d(
     return _make(y, parents, backward)
 
 
-def _im2col(win: np.ndarray, groups: int) -> np.ndarray:
-    """Window view [B, Cin, Hout, Wout, Kh, Kw] as K-major columns [groups, Cin/groups*Kh*Kw, B*Hout*Wout]."""
-    B, cin, hout, wout, kh, kw = win.shape
+def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, groups: int) -> np.ndarray:
+    """Padded input [B, Cin, Hp, Wp] as K-major columns [groups, Cin/groups*Kh*Kw, B*Hout*Wout]."""
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    B, cin, hout, wout = win.shape[:4]
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(groups, cin // groups * kh * kw, B * hout * wout)
 
 

@@ -387,6 +387,16 @@ def test_save_refuses_non_f32_models_and_writes_nothing(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_refuses_a_non_finite_parameter_naming_it_and_writes_nothing(value, tmp_path):
+    path = tmp_path / "m.ckpt"
+    model = build(TINY, seed=0)
+    model.state_arrays()["stage2.block0.mlp.fc1.weight"][0][3, 1, 0, 0] = value
+    with pytest.raises(FloatingPointError, match=r"'stage2\.block0\.mlp\.fc1\.weight' holds a non-finite value"):
+        save(model, str(path))
+    assert not path.exists()
+
+
 # sha256 of the container that STATE_POOL_IDENTITY holding fill_state()'s values
 # serializes to: header, manifest and payload bytes of format version 1.
 POOL_IDENTITY_CONTAINER_SHA256 = "19b24013f75dcbddcb9f47affb27f1957695316f5ea79aafec13ffe54e047266"

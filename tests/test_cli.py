@@ -169,6 +169,16 @@ def test_gradcheck_refuses_oversized_configs(tmp_path, capsys):
     assert "refuses" in capsys.readouterr().err
 
 
+def test_gradcheck_refuses_oversized_configs_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"variant": "S12"}))
+    assert run_main(["gradcheck", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: gradcheck refuses configs over 200,000 parameters"), err
+
+
 def test_gradcheck_detects_corrupted_backward(tmp_path, capsys, monkeypatch):
     def gelu_with_wrong_backward(a):
         out = gelu(a)
@@ -234,6 +244,37 @@ def test_train_toy_non_finite_loss_exits_2_without_checkpoint(tmp_path):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and re.fullmatch(r"error: train_loop: loss is \S+ at step \d+; stopping before the update", err[0]), err
     assert proc.stdout == ""
+    assert not ckpt.exists()
+
+
+def test_train_toy_update_that_overflows_after_the_last_loss_exits_2_without_checkpoint(tmp_path, capsys):
+    # The one step's loss is finite; its AdamW update at lr 1e40 overflows f32, so save sees inf or NaN.
+    ckpt = tmp_path / "out.ckpt"
+    argv = ["train-toy", "--config", write_config(tmp_path), "--steps", "1", "--lr", "1e40", "--out", str(ckpt)]
+    assert run_main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and re.fullmatch(r"error: save: tensor '\S+' holds a non-finite value; .* not written",
+                                          err[0]), err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 7.15 GiB for an array"), "error: out of memory: Unable to allocate 7.15 GiB for an array"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_train_toy_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, exc, line):
+    def train_loop(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "train_loop", train_loop)
+    ckpt = tmp_path / "out.ckpt"
+    argv = ["train-toy", "--config", write_config(tmp_path, MICRO_JSON), "--steps", "1", "--out", str(ckpt)]
+    assert run_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
     assert not ckpt.exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaformer import tensor as tensor_module
 from metaformer.gradcheck import check_tensor_gradient
 from metaformer.tensor import (
     _INV_SQRT2,
@@ -166,6 +167,38 @@ def test_conv2d_weight_and_bias_gradients_match_finite_differences(case):
         for t in (x, w, b):
             coords = [tuple(rng.integers(0, s) for s in t.shape) for _ in range(8)]
             assert check_tensor_gradient(loss, t, coords=coords) < 1e-4, f"seed {seed} shape {t.shape}"
+
+
+@pytest.mark.parametrize("kw,recording,forward_calls,backward_calls", [
+    (dict(), False, 0, None),
+    (dict(), True, 0, 1),
+    (dict(stride=(2, 2), padding=(1, 1)), False, 1, None),
+    (dict(stride=(2, 2), padding=(1, 1)), True, 1, 1),
+])
+def test_conv2d_builds_columns_only_where_it_reads_them(monkeypatch, kw, recording, forward_calls, backward_calls):
+    # A window view is built inside each _im2col call and nowhere else.
+    calls, views = [], []
+    im2col, window_view = tensor_module._im2col, tensor_module.sliding_window_view
+
+    def counted_im2col(*args):
+        calls.append(1)
+        return im2col(*args)
+
+    def counted_view(*args, **kwargs):
+        views.append(1)
+        return window_view(*args, **kwargs)
+
+    monkeypatch.setattr(tensor_module, "_im2col", counted_im2col)
+    monkeypatch.setattr(tensor_module, "sliding_window_view", counted_view)
+    k = 1 if not kw else 3
+    x = rnd((2, 4, 6, 6), seed=1)
+    w = Tensor(np.random.default_rng(2).standard_normal((5, 4, k, k)), requires_grad=recording)
+    y = conv2d(x, w, **kw)
+    assert len(calls) == len(views) == forward_calls
+    if recording:
+        y.sum().backward()
+        assert len(calls) == len(views) == forward_calls + backward_calls
+        assert w.grad is not None
 
 
 # ------------------------------------------------------------- avg pooling
