@@ -26,6 +26,11 @@ prints one JSON line:
 
     python scripts/bench_extra.py
 
+It exits 1, after printing every line, when a measurement failed: the
+Tier-1 run reports a failed test or a non-zero exit, or a ``metaformer
+gradcheck`` run exits non-zero. The pinned run's loss ratio does not gate:
+criterion 9's 300-step trajectory is chaotic across seeds.
+
 To compare two commits, copy this file into a checkout of each and run the
 copies in turn, alternating which side goes first.
 """
@@ -191,10 +196,18 @@ def gradcheck_tiny() -> dict:
             "summary": runs[0]["summary"]}
 
 
+def failed(result: dict) -> bool:
+    return result.get("failed", 0) > 0 or result.get("exit_code", 0) != 0 or any(result.get("exit_codes", ()))
+
+
 def main() -> int:
+    code = 0
     for measure in (m48_load, import_time, tier1, pinned_run, s12_b8_serving, gradcheck_tiny):
-        print(json.dumps(measure()), flush=True)
-    return 0
+        result = measure()
+        print(json.dumps(result), flush=True)
+        if failed(result):
+            code = 1
+    return code
 
 
 if __name__ == "__main__":

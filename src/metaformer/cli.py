@@ -52,7 +52,7 @@ def _load_config(config_path: Optional[str], variant: Optional[str]) -> ModelCon
             obj = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {config_path!r}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:  # a binary file is not text, so not JSON either
         raise ConfigError(f"config {config_path!r} is not valid JSON: {e}") from e
     return ModelConfig.from_json_dict(obj)
 

@@ -7,9 +7,9 @@ order of the parents. ``Tensor.backward`` walks the recorded graph once, in
 reverse topological order, and is the one place that adds those products
 into the parents' gradients: it sums a product over the axes its parent was
 broadcast along, casts it to the parent's dtype and skips parents that
-record no graph. A parent listed twice gets its two products added in list
-order. A leaf packed into an optimizer's arena (``train.AdamW``) takes its
-first product by copy into its arena slice and adds later ones in place.
+record no graph. Every tensor's first product is copied into its ``grad``
+buffer and later ones are added into it in place, so a parent listed twice
+gets its two products added in list order.
 The walk consumes the graph: each node drops its closure and its parents
 before its closure runs, so the activations a closure holds are freed once
 its products have reached the parents, and a second ``backward`` that
@@ -74,12 +74,12 @@ class Tensor:
     ``requires_grad``, and says whether a layer's leaf is a parameter or a
     frozen tensor; results of operations are never trainable. Turning
     ``requires_grad`` off on a parameter stops recording without changing
-    what it is. ``grad`` is allocated during ``backward`` and has the same
-    shape/dtype as ``data``; only leaves keep theirs after ``backward``. A
-    parameter packed by ``train.AdamW`` gets no new array: its ``grad`` is its
-    view of the optimizer's gradient arena, written in place by ``backward``,
-    so it holds this gradient only until the next ``zero_grad`` and
-    ``backward``. Copy it to keep it.
+    what it is. ``grad`` has the shape/dtype of ``data``; only leaves keep
+    theirs after ``backward``. It is one array from the first product that
+    lands to the next ``zero_grad``: later products and later ``backward``
+    calls add into it in place, so copy it to keep it. The first product is
+    copied into a new array or, for a parameter packed by ``train.AdamW``,
+    into its slice of the optimizer's gradient arena.
     """
 
     # _grad_out stays: copying p.grad into the arena in AdamW.step instead raised train-tiny peak RSS 0.5-1 MiB.
@@ -218,20 +218,16 @@ def _accum(t: Tensor, g: Optional[np.ndarray]) -> None:
         return
     if g.shape != t.data.shape:
         g = _unbroadcast(g, t.data.shape)
-    out = t._grad_out
-    if out is not None and (t.grad is None or t.grad is out):
-        if g.shape != out.shape:  # copyto and add would broadcast it silently
-            raise InvalidArgument(f"backward: gradient shape {g.shape} != parameter shape {out.shape}")
-        if t.grad is None:
-            # A copy, not an add into zeros: 0.0 + (-0.0) would lose the sign of a zero gradient.
-            np.copyto(out, g, casting="unsafe")
-            t.grad = out
-        else:
-            np.add(out, g, out=out)
-    elif t.grad is None:
+        if g.shape != t.data.shape:  # copyto and add would broadcast it silently
+            raise InvalidArgument(f"backward: gradient shape {g.shape} != parameter shape {t.data.shape}")
+    if t.grad is not None:
+        np.add(t.grad, g, out=t.grad)
+    elif t._grad_out is None:
         t.grad = g.astype(t.data.dtype, copy=True)
     else:
-        t.grad = t.grad + g
+        # A copy, not an add into zeros: 0.0 + (-0.0) would lose the sign of a zero gradient.
+        np.copyto(t._grad_out, g, casting="unsafe")
+        t.grad = t._grad_out
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:

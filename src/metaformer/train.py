@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import mmap
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -98,7 +99,7 @@ class AdamW:
     memory mapping, so its pages go back to the OS once the optimizer and its
     parameters are dropped (a model kept after training keeps the whole
     mapping, four times its parameter bytes). Each parameter's ``data`` becomes a view of its
-    slice of ``p`` and its leaf gradient lands in its slice of ``g`` during
+    slice of ``p``, and its slice of ``g`` is the buffer its ``grad`` lands in during
     ``Tensor.backward``. ``step`` then updates the whole arena in blocks of
     ``ADAMW_BLOCK`` elements, with each element's operations in the same order
     as a per-tensor update, so the results are the same bits. Packing a
@@ -287,11 +288,20 @@ def train_loop(
     """Train ``config`` on the synthetic dataset; deterministic given ``seed``.
 
     Raises ``FloatingPointError`` at the first non-finite loss, before its step's update.
+    A run that stops before its first metrics record removes the metrics file it opened.
     """
+    if config.num_classes < N_CLASSES:
+        raise InvalidArgument(
+            f"train_loop: the dataset has {N_CLASSES} classes, but the config has num_classes {config.num_classes}")
     if steps < 0:
         raise InvalidArgument(f"train_loop: steps must be >= 0, got {steps}")
     if batch_size < 1:
         raise InvalidArgument(f"train_loop: batch_size must be >= 1, got {batch_size}")
+    # synth_batch's f64 [batch, 3, size, size] noise; numpy cannot size an array of more bytes than intp holds.
+    max_batch = np.iinfo(np.intp).max // (3 * config.input_size**2 * 8)
+    if batch_size > max_batch:
+        raise InvalidArgument(
+            f"train_loop: batch_size must be <= {max_batch} at input_size {config.input_size}, got {batch_size}")
     if lr_peak is None:
         lr_peak = default_peak_lr(batch_size)
     if not math.isfinite(lr_peak):
@@ -323,4 +333,6 @@ def train_loop(
     finally:
         if out is not None:
             out.close()
+            if steps and not metrics:  # stopped before its first record
+                os.remove(metrics_path)
     return TrainResult(model=model, metrics=metrics)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from metaformer import checkpoint, cli
+from metaformer import checkpoint, cli, train
 from metaformer.checkpoint import save, save_tensors
 from metaformer.model import ModelConfig, build
 from metaformer.tensor import ACTIVATIONS, gelu
@@ -320,6 +320,49 @@ def test_train_toy_out_naming_a_directory_exits_2_before_training(tmp_path, caps
     assert len(err) == 1 and err[0].startswith("error:") and "is a directory" in err[0], err
     assert not metrics.exists()
     assert list(out.iterdir()) == []
+
+
+def test_train_toy_config_with_fewer_classes_than_the_dataset_exits_1_before_building(tmp_path, capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("built a model it cannot train")
+
+    monkeypatch.setattr(train, "build", build)
+    config = {"custom": {**MICRO_JSON["custom"], "num_classes": 3}}
+    ckpt = tmp_path / "out.ckpt"
+    argv = ["train-toy", "--config", write_config(tmp_path, config), "--steps", "1", "--batch-size", "4",
+            "--out", str(ckpt)]
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: train_loop: the dataset has 4 classes, but the config has num_classes 3"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("batch_size", ["9223372036854775808", "10000000000000000000", "375299968947542"])
+def test_train_toy_batch_that_numpy_cannot_size_exits_1_with_one_line(tmp_path, capsys, batch_size):
+    argv = ["train-toy", "--config", write_config(tmp_path, MICRO_JSON), "--steps", "1", "--batch-size", batch_size,
+            "--out", str(tmp_path / "out.ckpt")]
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: train_loop: batch_size must be <= 375299968947541 at input_size 32, got {batch_size}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_train_toy_allocation_failure_before_the_first_record_leaves_no_metrics_file(tmp_path, capsys, monkeypatch):
+    def synth_batch(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(train, "synth_batch", synth_batch)
+    argv = ["train-toy", "--config", write_config(tmp_path, MICRO_JSON), "--steps", "2", "--batch-size", "4",
+            "--out", str(tmp_path / "out.ckpt")]
+    assert run_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: out of memory: Unable to allocate 72.8 TiB for an array"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])

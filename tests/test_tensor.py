@@ -476,6 +476,26 @@ def test_backward_off_path_leaf_gets_zero_gradient():
     np.testing.assert_array_equal(y.grad_array(), np.zeros((2, 2)))
 
 
+def test_a_wrong_shape_gradient_is_refused_for_a_tensor_no_optimizer_packed():
+    p = Tensor(np.array([1.0, 2.0]), dtype="f64", requires_grad=True)
+    bad = tensor_module._make(np.array(0.0), (p,), lambda g: (np.ones(1),))  # a backward of the wrong shape
+    with pytest.raises(InvalidArgument, match=r"gradient shape \(1,\) != parameter shape \(2,\)"):
+        bad.backward()
+    assert p.grad is None
+
+
+def test_a_leaf_keeps_one_grad_array_and_later_backwards_add_into_it():
+    x = Tensor(np.array([1.5, -3.0]), dtype="f64", requires_grad=True)
+    (x * 2.0).sum().backward()
+    g0 = x.grad
+    (x * x).sum().backward()  # a new graph, no zero_grad in between
+    assert x.grad is g0
+    np.testing.assert_array_equal(g0, [2.0 + 3.0, 2.0 - 6.0])
+    x.zero_grad()
+    (x * 2.0).sum().backward()
+    assert x.grad is not g0
+
+
 def test_backward_composite_matches_finite_differences():
     # Composite of the module's ops on a [2, 4, 8, 8] input, many seeds.
     for seed in range(20):
