@@ -59,11 +59,11 @@ ENV = {
     "MKL_NUM_THREADS": "1",
 }
 
-SAVE_M48 = """
+SAVE_VARIANT = """
 import sys
 from metaformer import ModelConfig, build
 from metaformer.checkpoint import save
-save(build(ModelConfig.variant_named("M48"), seed=0), sys.argv[1])
+save(build(ModelConfig.variant_named(sys.argv[2]), seed=0), sys.argv[1])
 """
 TIME_LOADS = """
 import json, resource, sys, time
@@ -80,12 +80,6 @@ import time
 start = time.perf_counter()
 import metaformer
 print(time.perf_counter() - start)
-"""
-SAVE_S12 = """
-import sys
-from metaformer import ModelConfig, build
-from metaformer.checkpoint import save
-save(build(ModelConfig.variant_named("S12"), seed=0), sys.argv[1])
 """
 SERVE_S12_B8 = """
 import json, resource, sys, time
@@ -148,7 +142,7 @@ def ms(seconds) -> dict:
 def m48_load() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m48.ckpt")
-        python(SAVE_M48, path)
+        python(SAVE_VARIANT, path, "M48")
         result = json.loads(python(TIME_LOADS, path, str(LOADS)))
         size = os.path.getsize(path)
     return {"measurement": "checkpoint.load M48", "loads": LOADS, **ms(result["seconds"]),
@@ -182,7 +176,7 @@ def pinned_run() -> dict:
 def s12_b8_serving() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "s12.ckpt")
-        python(SAVE_S12, path)
+        python(SAVE_VARIANT, path, "S12")
         result = json.loads(python(SERVE_S12_B8, path, str(S12_FORWARDS)))
     return {"measurement": "S12 batch-8 graph-free serving", "forwards": S12_FORWARDS, **ms(result["seconds"]),
             "peak_rss_after_load_mib": round(result["load_kib"] / 1024, 1),

@@ -31,7 +31,6 @@ from typing import List, Optional, Union
 from .block import MLP_RATIO
 from .mixers import MIXERS
 from .model import EMBED_SPECS, Model, ModelConfig, stage_grids
-from .tensor import InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -131,11 +130,7 @@ def cost_report(config: ModelConfig, input_size: Optional[int] = None) -> CostRe
     """Per-stage and total parameter/MAC accounting for ``config``."""
     if input_size is None:
         input_size = config.input_size
-    if config.resolution_bound() and input_size != config.input_size:
-        raise InvalidArgument(
-            f"cost report at {input_size} requested, but resolution-dependent mixers bind the "
-            f"model to {config.input_size}"
-        )
+    config.check_input_size(input_size, input_size, "cost report")
     config = replace(config, input_size=input_size)
     grids = stage_grids(input_size)
     stages: List[StageCost] = []

@@ -93,7 +93,7 @@ class MetaFormerBlock(Module):
     """Block of stage ``stage`` of ``config``: its width, mixer and switches, and drop path at ``drop_path_rate``."""
 
     def __init__(self, config: ModelConfig, stage: int, drop_path_rate: float, rng: np.random.Generator,
-                 n_tokens: int = 0, dtype="f32"):
+                 n_tokens: int, dtype="f32"):
         if not 0.0 <= drop_path_rate < 1.0:
             raise InvalidArgument(f"block.drop_path_rate: must lie in [0, 1), got {drop_path_rate}")
         channels = config.dims[stage]

@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .analysis import cost_report
+from .analysis import cost_report, count_params
 from .checkpoint import (
     CheckpointCorruptionError,
     CheckpointFormatError,
@@ -33,6 +33,8 @@ from .tensor import InvalidArgument, Tensor, softmax_lastdim
 from .train import train_loop
 
 GRADCHECK_PARAM_LIMIT = 200_000
+# numpy's ValueError for an array of more bytes or elements than intp holds, where a smaller one raises MemoryError.
+_NUMPY_SIZE_REFUSALS = ("array is too big", "Maximum allowed dimension exceeded")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,8 +96,7 @@ def cmd_gradcheck(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise InvalidArgument(f"--tolerance must be finite and > 0, got {args.tolerance}")
     config = _load_config(args.config, None)
-    report = cost_report(config)
-    total = report.trainable_params + report.frozen_params
+    total = sum(count_params(config))
     if total > GRADCHECK_PARAM_LIMIT:
         raise InvalidArgument(
             f"gradcheck refuses configs over {GRADCHECK_PARAM_LIMIT:,} parameters (this one has {total:,}); "
@@ -236,7 +237,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (CheckpointFormatError, CheckpointCorruptionError, FloatingPointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except MemoryError as e:  # an allocation sized by a flag or a config that the host cannot back
+    except (MemoryError, ValueError) as e:  # an allocation sized by a flag or a config that the host cannot back
+        if isinstance(e, ValueError) and not str(e).startswith(_NUMPY_SIZE_REFUSALS):
+            raise
         print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
         return 2
 

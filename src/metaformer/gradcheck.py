@@ -25,14 +25,8 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
-def numeric_gradient(
-    loss_fn: Callable[[], float],
-    array: np.ndarray,
-    coords: Optional[Sequence[Tuple[int, ...]]] = None,
-) -> np.ndarray:
+def numeric_gradient(loss_fn: Callable[[], float], array: np.ndarray, coords: Sequence[Tuple[int, ...]]) -> np.ndarray:
     """Central differences of ``loss_fn`` w.r.t. entries of ``array`` (mutated in place, restored), in coords order."""
-    if coords is None:
-        coords = list(np.ndindex(array.shape))
     grads = np.empty(len(coords))
     for k, idx in enumerate(coords):
         orig = array[idx]

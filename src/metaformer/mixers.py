@@ -122,6 +122,14 @@ def _untokens(t: Tensor, dims: Tuple[int, int, int, int]) -> Tensor:
     return t.swapaxes(1, 2).reshape(B, C, H, W)
 
 
+def _bound_tokens(x: Tensor, weight: Tensor, label: str) -> int:
+    """The token count H*W of ``x``, refused unless it is the N of the mixer's N x N ``weight``."""
+    _, _, H, W = x.shape
+    if H * W != weight.shape[0]:
+        raise InvalidArgument(f"{label} mixer is bound to {weight.shape[0]} tokens, input has {H * W} ({H}x{W})")
+    return H * W
+
+
 class PoolingMixer(Mixer):
     """Average of each token's neighborhood minus the token itself.
 
@@ -177,12 +185,7 @@ class RandomMatrixMixer(Mixer):
         self.weight = Tensor(w, requires_grad=False, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        B, C, H, W = x.shape
-        n = H * W
-        if n != self.weight.shape[0]:
-            raise InvalidArgument(
-                f"random-matrix mixer is bound to {self.weight.shape[0]} tokens, input has {n} ({H}x{W})"
-            )
+        _bound_tokens(x, self.weight, "random-matrix")
         t, dims = _tokens(x)
         return _untokens(matmul(self.weight, t), dims)
 
@@ -278,11 +281,7 @@ class SpatialFCMixer(Mixer):
 
     def __call__(self, x: Tensor) -> Tensor:
         B, C, H, W = x.shape
-        n = H * W
-        if n != self.weight.shape[0]:
-            raise InvalidArgument(
-                f"spatial-fc mixer is bound to {self.weight.shape[0]} tokens, input has {n} ({H}x{W})"
-            )
+        n = _bound_tokens(x, self.weight, "spatial-fc")
         flat = x.reshape(B, C, n)
         out = matmul(flat, self.weight.swapaxes(0, 1)) + self.bias.reshape(1, 1, n)
         return out.reshape(B, C, H, W)

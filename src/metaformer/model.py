@@ -122,9 +122,16 @@ class ModelConfig:
             raise ConfigError(f"in_channels: must be >= 1, got {self.in_channels}")
         if self.input_size < 32:
             raise ConfigError(f"input_size: must be >= 32, the smallest input a forward accepts, got {self.input_size}")
+        if 4 * self.in_channels * self.input_size**2 > np.iinfo(np.intp).max:  # numpy sizes no larger array
+            raise ConfigError(f"input_size: a batch-1 f32 input [1, {self.in_channels}, S, S] must fit in "
+                              f"{np.iinfo(np.intp).max} bytes, got S = {self.input_size}")
 
-    def resolution_bound(self) -> bool:
-        return any(MIXERS[m.kind].resolution_bound for m in self.mixers)
+    def check_input_size(self, height: int, width: int, where: str) -> None:
+        """Refuse a height x width other than ``input_size``^2 when a mixer is bound to the build-time grid."""
+        S = self.input_size
+        if (height, width) != (S, S) and any(MIXERS[m.kind].resolution_bound for m in self.mixers):
+            raise InvalidArgument(f"{where}: model is bound to {S}x{S} input (resolution-dependent mixers bind it), "
+                                  f"got {height}x{width}")
 
     # -------------------------------------------------------------- variants
     @property
@@ -281,11 +288,7 @@ class Model(Module):
         _, _, H, W = x.shape
         if H < 32 or W < 32:
             raise InvalidArgument(f"forward: spatial dims must be >= 32, got ({H}, {W})")
-        if self.config.resolution_bound() and (H, W) != (self.config.input_size, self.config.input_size):
-            raise InvalidArgument(
-                f"forward: model is bound to {self.config.input_size}x{self.config.input_size} input "
-                f"(resolution-dependent mixers), got {H}x{W}"
-            )
+        self.config.check_input_size(H, W, "forward")
         for embed, blocks in zip(self.embeds, self.stages):
             x = embed(x)
             for blk in blocks:

@@ -77,9 +77,10 @@ class Tensor:
     what it is. ``grad`` has the shape/dtype of ``data``; only leaves keep
     theirs after ``backward``. It is one array from the first product that
     lands to the next ``zero_grad``: later products and later ``backward``
-    calls add into it in place, so copy it to keep it. The first product is
-    copied into a new array or, for a parameter packed by ``train.AdamW``,
-    into its slice of the optimizer's gradient arena.
+    calls add into it in place, so copy it to keep it. A held ``grad`` of
+    another shape or dtype is refused before a product is added into it.
+    The first product is copied into a new array or, for a parameter packed
+    by ``train.AdamW``, into its slice of the optimizer's gradient arena.
     """
 
     # _grad_out stays: copying p.grad into the arena in AdamW.step instead raised train-tiny peak RSS 0.5-1 MiB.
@@ -221,6 +222,9 @@ def _accum(t: Tensor, g: Optional[np.ndarray]) -> None:
         if g.shape != t.data.shape:  # copyto and add would broadcast it silently
             raise InvalidArgument(f"backward: gradient shape {g.shape} != parameter shape {t.data.shape}")
     if t.grad is not None:
+        if t.grad.shape != t.data.shape or t.grad.dtype != t.data.dtype:  # add would cast or broadcast into it
+            raise InvalidArgument(f"backward: held grad {t.grad.dtype.name} {t.grad.shape} does not match the "
+                                  f"tensor's {t.data.dtype.name} {t.data.shape}")
         np.add(t.grad, g, out=t.grad)
     elif t._grad_out is None:
         t.grad = g.astype(t.data.dtype, copy=True)

@@ -387,6 +387,12 @@ def test_save_refuses_non_f32_models_and_writes_nothing(tmp_path):
     assert not path.exists()
 
 
+def test_save_to_a_directory_is_refused_naming_the_path(tmp_path):
+    with pytest.raises(OSError, match=rf"cannot write container to {re.escape(repr(str(tmp_path)))}: .*Is a directory"):
+        save(build(TINY, seed=0), str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_save_refuses_a_non_finite_parameter_naming_it_and_writes_nothing(value, tmp_path):
     path = tmp_path / "m.ckpt"

@@ -117,6 +117,21 @@ def test_describe_input_size_below_32_exits_1_with_one_line(tmp_path, capsys, fm
         ]
 
 
+def input_size_line(size, path=""):
+    return (f"error: {path}input_size: a batch-1 f32 input [1, 3, S, S] must fit in 9223372036854775807 bytes, "
+            f"got S = {size}")
+
+
+@pytest.mark.parametrize("size", [str(2**63), str(10**19)])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_describe_input_size_numpy_cannot_size_exits_1_with_one_line(tmp_path, capsys, fmt, size):
+    for source in (["--variant", "S12"], ["--config", write_config(tmp_path)]):
+        assert run_main(["describe", *source, "--input-size", size, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [input_size_line(size)]
+
+
 @pytest.mark.parametrize("contents,message", [
     (None, "cannot read config"),
     ("{not json", "is not valid JSON"),
@@ -177,6 +192,15 @@ def test_gradcheck_refuses_oversized_configs_with_one_error_line(tmp_path, capsy
     err = captured.err.splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error: gradcheck refuses configs over 200,000 parameters"), err
+
+
+@pytest.mark.parametrize("size", [10**9, 10**19, 2**63])
+def test_gradcheck_config_whose_input_numpy_cannot_size_exits_1_with_one_line(tmp_path, capsys, size):
+    config = write_config(tmp_path, {"custom": {**MICRO_JSON["custom"], "input_size": size}})
+    assert run_main(["gradcheck", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [input_size_line(size, "config.custom.")]
 
 
 def test_gradcheck_detects_corrupted_backward(tmp_path, capsys, monkeypatch):
@@ -276,6 +300,34 @@ def test_train_toy_allocation_failure_exits_2_with_one_line(tmp_path, capsys, mo
     assert captured.out == ""
     assert captured.err.splitlines() == [line]
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command,custom,message", [
+    # The config's batch-1 f32 input fits; gradcheck's batch-2 f64 input does not.
+    ("gradcheck", {"input_size": 6 * 10**8}, "array is too big"),
+    ("train-toy", {"dims": [10**18, 8, 8, 16]}, "array is too big"),
+    ("train-toy", {"dims": [2**63, 8, 8, 16]}, "Maximum allowed dimension exceeded"),
+], ids=["gradcheck input 6e8", "train-toy dims 1e18", "train-toy dims 2**63"])
+def test_an_array_numpy_cannot_size_exits_2_with_one_out_of_memory_line(tmp_path, capsys, command, custom, message):
+    argv = [command, "--config", write_config(tmp_path, {"custom": {**MICRO_JSON["custom"], **custom}})]
+    if command == "train-toy":
+        argv += ["--steps", "1", "--batch-size", "4", "--out", str(tmp_path / "out.ckpt")]
+    assert run_main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith(f"error: out of memory: {message}"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_a_value_error_other_than_numpys_size_refusals_still_raises(tmp_path, monkeypatch):
+    def train_loop(*args, **kwargs):
+        raise ValueError("negative dimensions are not allowed")
+
+    monkeypatch.setattr(cli, "train_loop", train_loop)
+    argv = ["train-toy", "--config", write_config(tmp_path, MICRO_JSON), "--steps", "1", "--out", str(tmp_path / "o")]
+    with pytest.raises(ValueError, match="negative dimensions are not allowed"):
+        cli.main(argv)
 
 
 @pytest.mark.parametrize("flags,message", [

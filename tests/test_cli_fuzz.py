@@ -4,8 +4,11 @@ Each case draws one of the four commands and damages at most two of its
 flags: a damaged flag takes any value or none, the others a valid value.
 Numeric flags take 0, -1, a small valid value, 2**63, 10**19, NaN, the two
 infinities or a word; path flags take a missing path, a directory, an
-empty file, a truncated model container, a model container, a tensor
-container, a valid config or a new path in an existing directory.
+empty file, a truncated model container, a model container with one or two
+header or manifest bytes flipped, a model container, a tensor container, a
+valid config, one of four damaged configs (a zero in ``dims``, an unknown
+mixer kind, ``input_size`` 10**9, a NaN ``layer_scale_init``) or a new path
+in an existing directory.
 ``cli.main`` runs in-process, in a fresh directory per case, and must:
 
 - exit 0, 1 or 2, with no traceback on stderr;
@@ -28,6 +31,7 @@ import json
 import math
 import os
 import re
+import struct
 import tempfile
 from unittest import mock
 
@@ -44,7 +48,17 @@ from test_cli import MICRO_JSON
 HUGE = (str(2**63), str(10**19))
 SMALL = {"--input-size": "32", "--seed": "1", "--tolerance": "1e-4", "--steps": "2", "--batch-size": "4",
          "--lr": "1e-3", "--topk": "3"}
-PATHS = ("missing", "dir", "empty", "truncated", "model", "tensors", "config", "new")
+# MICRO_JSON with one field damaged; each is refused.
+DAMAGED_CONFIGS = {
+    "zero_dim": {"dims": [4, 0, 8, 16]},
+    "unknown_mixer": {"mixers": [{"kind": "pooling"}] * 3 + [{"kind": "conv9"}]},
+    "huge_input": {"input_size": 10**9},
+    "nan_scale": {"layer_scale_init": float("nan")},
+}
+PATHS = ("missing", "dir", "empty", "truncated", "flipped", "model", "tensors", "config", "new", *DAMAGED_CONFIGS)
+# Byte flips of the model container, as tests/test_checkpoint_fuzz.py draws them: (position, xor mask), the position
+# taken modulo the header and manifest length.
+FLIPS = st.lists(st.tuples(st.integers(0, 10**9), st.integers(1, 255)), min_size=1, max_size=2)
 FLAGS = {
     "describe": {"--variant": ("S12", "S99"), "--config": PATHS, "--input-size": None,
                  "--format": ("table", "json", "yaml")},
@@ -91,21 +105,28 @@ def argvs(draw):
     return argv
 
 
-def make_files(root):
-    """Every file kind a path flag can name, in ``root``; returns kind -> path."""
+def make_files(root, flips):
+    """Every file kind a path flag can name, in ``root``, the flipped container damaged by ``flips``; kind -> path."""
     paths = {kind: os.path.join(root, name) for kind, name in (
         ("missing", "absent/x"), ("dir", "dir"), ("empty", "empty"), ("truncated", "truncated.ckpt"),
-        ("model", "model.ckpt"), ("tensors", "input.mft"), ("config", "config.json"), ("new", "new.out"))}
+        ("flipped", "flipped.ckpt"), ("model", "model.ckpt"), ("tensors", "input.mft"), ("new", "new.out"))}
     os.mkdir(paths["dir"])
     open(paths["empty"], "wb").close()
-    with open(paths["config"], "w") as f:
-        json.dump(MICRO_JSON, f)
+    for kind, damage in (("config", {}), *DAMAGED_CONFIGS.items()):
+        paths[kind] = os.path.join(root, f"{kind}.json")
+        with open(paths[kind], "w") as f:
+            json.dump({"custom": {**MICRO_JSON["custom"], **damage}}, f)
     save(build(ModelConfig.from_json_dict(MICRO_JSON), seed=0), paths["model"])
     save_tensors(paths["tensors"], {"input": np.random.default_rng(0).random((1, 3, 32, 32), dtype=np.float32)})
     with open(paths["model"], "rb") as f:
         blob = f.read()
     with open(paths["truncated"], "wb") as f:
         f.write(blob[: len(blob) // 2])
+    flipped, head = bytearray(blob), 16 + struct.unpack("<Q", blob[8:16])[0]
+    for position, mask in flips:
+        flipped[position % head] ^= mask
+    with open(paths["flipped"], "wb") as f:
+        f.write(flipped)
     return paths
 
 
@@ -157,11 +178,15 @@ def strict_json(text):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(argv=argvs())
+@given(argv=argvs(), flips=FLIPS)
 # Numbers numpy cannot size as an image batch: a traceback from synth_batch before the bound.
-@example(argv=["train-toy", "--config=@config", "--steps=1", "--batch-size=9223372036854775808", "--out=@new"])
-@example(argv=["train-toy", "--config=@config", "--steps=1", "--batch-size=10000000000000000000", "--out=@new"])
-def test_every_argv_exits_0_1_or_2_and_a_refusal_is_one_error_line(argv):
+@example(argv=["train-toy", "--config=@config", "--steps=1", "--batch-size=9223372036854775808", "--out=@new"],
+         flips=[(0, 1)])
+@example(argv=["train-toy", "--config=@config", "--steps=1", "--batch-size=10000000000000000000", "--out=@new"],
+         flips=[(0, 1)])
+# A config whose input numpy cannot size: a traceback from gradcheck's input batch before the input_size bound.
+@example(argv=["gradcheck", "--config=@huge_input"], flips=[(0, 1)])
+def test_every_argv_exits_0_1_or_2_and_a_refusal_is_one_error_line(argv, flips):
     assume(not runs_long(argv))
     real_synth_batch = train.synth_batch
     batches = []
@@ -175,7 +200,7 @@ def test_every_argv_exits_0_1_or_2_and_a_refusal_is_one_error_line(argv):
         raise AssertionError(f"{argv} runs a gradient check")
 
     with tempfile.TemporaryDirectory() as root:
-        paths = make_files(root)
+        paths = make_files(root, flips)
         argv = [re.sub(r"@(\w+)", lambda m: paths[m.group(1)], token) for token in argv]
         before = snapshot(root)
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -214,6 +214,12 @@ def test_spatial_fc_rejects_wrong_resolution():
 ALL_KINDS = ["pooling", "identity", "random_matrix", "depthwise_conv", "attention", "spatial_fc"]
 
 
+@pytest.mark.parametrize("kind,label", [("random_matrix", "random-matrix"), ("spatial_fc", "spatial-fc")])
+def test_bound_mixers_refuse_a_token_count_below_1(kind, label):
+    with pytest.raises(InvalidArgument, match=f"^{label} mixer: token count must be >= 1, got 0$"):
+        mixer_of(kind, n_tokens=0, rng=rng64(0))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_all_mixers_preserve_shape(kind):
     cfg = MixerConfig(kind=kind, heads=2 if kind == "attention" else None)

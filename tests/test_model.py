@@ -52,6 +52,12 @@ def test_drop_path_schedule_linear_ramp():
     np.testing.assert_allclose(diffs, diffs[0])
 
 
+@pytest.mark.parametrize("peak", [1.0, -0.1, float("nan")])
+def test_drop_path_schedule_refuses_a_peak_rate_outside_0_1(peak):
+    with pytest.raises(InvalidArgument, match=r"drop_path_schedule: peak rate must lie in \[0, 1\)"):
+        drop_path_schedule(peak, 12)
+
+
 def test_drop_path_schedule_degenerate_cases():
     assert drop_path_schedule(0.0, 5) == [0.0] * 5
     assert drop_path_schedule(0.3, 1) == [0.0]
@@ -332,6 +338,9 @@ MALFORMED_CUSTOM = {
     "layer_scale_init 1e9": ({"layer_scale_init": 1e9}, ABOVE_ONE_LS),
     "layer_scale_init above 1, layer scale off": ({"use_layer_scale": False, "layer_scale_init": 10.0},
                                                   ABOVE_ONE_LS),
+    # A batch-1 f32 input numpy cannot size.
+    "input_size 10**9": ({"input_size": 10**9}, r"config\.custom\.input_size: a batch-1 f32 input .* bytes"),
+    "input_size 10**19": ({"input_size": 10**19}, r"config\.custom\.input_size: a batch-1 f32 input .* bytes"),
 }
 
 
@@ -355,6 +364,10 @@ def test_config_json_rejects_unknown_fields():
         ModelConfig.from_json_dict({"custom": {"dims": [8, 8, 8, 8], "dropout": 0.5}})
     with pytest.raises(ConfigError, match="exactly one"):
         ModelConfig.from_json_dict({})
+    with pytest.raises(ConfigError, match=r"^config\.variant: expected a name, got 12$"):
+        ModelConfig.from_json_dict({"variant": 12})
+    with pytest.raises(ConfigError, match=r"^config\.custom: expected an object$"):
+        ModelConfig.from_json_dict({"custom": [8, 8, 8, 8]})
 
 
 def test_config_refuses_inputs_smaller_than_a_forward_accepts(tmp_path, capsys):
@@ -404,11 +417,21 @@ def test_config_validation_errors_carry_field_path():
         (r"^input_size: expected int, got 32\.5", dict(input_size=32.5)),
         (r"^use_residual: expected bool, got 'no'", dict(use_residual="no")),
         (r"^num_classes: expected int, got 4\.0", dict(num_classes=4.0)),
+        (r"^mixers\[0\]\.kind: unknown mixer 'bogus'",
+         dict(mixers=(MixerConfig(kind="bogus"),) + (MixerConfig(),) * 3)),
+        # numpy sizes no array of more bytes than intp holds: 876706528 is the largest side for 3 f32 channels.
+        (r"^input_size: a batch-1 f32 input \[1, 3, S, S\] must fit in 9223372036854775807 bytes, got S = 876706529$",
+         dict(input_size=876706529)),
+        (r"^input_size: .*\[1, 1, S, S\].*got S = 1518500250$", dict(in_channels=1, input_size=1518500250)),
+        (r"^input_size: .*got S = 9223372036854775808$", dict(input_size=2**63)),
+        (r"^input_size: .*got S = 10000000000000000000$", dict(input_size=10**19)),
     ]:
         with pytest.raises(ConfigError, match=path):
             ModelConfig(**fields)
     ModelConfig(use_layer_scale=False, layer_scale_init=0.0)
     ModelConfig(layer_scale_init=1.0)
+    ModelConfig(input_size=876706528)
+    ModelConfig(in_channels=1, input_size=1518500249)
 
 
 def test_forward_rejects_wrong_channel_count():

@@ -145,6 +145,13 @@ def test_none_norm_is_identity_and_has_no_params():
     assert list(norm.named_parameters("p")) == []
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-5])
+@pytest.mark.parametrize("cls", [ModifiedLayerNorm, ChannelLayerNorm, BatchNorm])
+def test_norms_refuse_a_non_positive_eps(cls, eps):
+    with pytest.raises(InvalidArgument, match=f"norm eps must be positive, got {eps}"):
+        cls(2, eps=eps)
+
+
 def test_make_norm_rejects_unknown_kind():
     with pytest.raises(InvalidArgument, match="unknown norm"):
         make_norm("rmsnorm", 4)

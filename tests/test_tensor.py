@@ -222,6 +222,28 @@ def test_avg_pool_k1_is_identity():
     np.testing.assert_array_equal(avg_pool2d_excl(x, 1).data, x.data)
 
 
+OP_REFUSALS = {
+    "unknown dtype": (lambda: Tensor([1.0], dtype="f16"), r"unsupported dtype 'f16', expected 'f32' or 'f64'"),
+    "matmul 1-D": (lambda: matmul(rnd((3,)), rnd((3, 2))), r"matmul: operands must be at least 2-D, got 1-D and 2-D"),
+    "narrow past the end": (lambda: narrow(rnd((2, 3)), 1, 2, 2),
+                            r"narrow: slice \[2, 4\) out of range for axis 1 of size 3"),
+    "conv2d 3-D input": (lambda: conv2d(rnd((4, 5, 5)), rnd((6, 4, 3, 3))), r"conv2d: input must be 4-D"),
+    "conv2d 3-D weight": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3))), r"conv2d: weight must be 4-D"),
+    "conv2d zero kernel": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 0, 3))),
+                           r"conv2d: kernel dims must be >= 1, got \(0, 3\)"),
+    "conv2d cout % groups": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((5, 2, 3, 3)), groups=2),
+                             r"conv2d: output channels 5 not divisible by groups 2"),
+    "avg_pool2d_excl 3-D input": (lambda: avg_pool2d_excl(rnd((2, 5, 5)), 3), r"avg_pool2d_excl: input must be 4-D"),
+}
+
+
+@pytest.mark.parametrize("case", OP_REFUSALS)
+def test_op_refusals_name_the_bad_argument(case):
+    call, message = OP_REFUSALS[case]
+    with pytest.raises(InvalidArgument, match=message):
+        call()
+
+
 def test_avg_pool_rejects_even_or_nonpositive_k():
     x = rnd((1, 1, 3, 3))
     for k in (0, 2, 4, -1):
@@ -482,6 +504,18 @@ def test_a_wrong_shape_gradient_is_refused_for_a_tensor_no_optimizer_packed():
     with pytest.raises(InvalidArgument, match=r"gradient shape \(1,\) != parameter shape \(2,\)"):
         bad.backward()
     assert p.grad is None
+
+
+@pytest.mark.parametrize("held,message", [
+    (np.zeros(2, dtype=np.int64), r"held grad int64 \(2,\) does not match the tensor's float32 \(2,\)"),
+    (np.zeros((1, 2), dtype=np.float32), r"held grad float32 \(1, 2\) does not match the tensor's float32 \(2,\)"),
+], ids=["int64", "shape (1, 2)"])
+def test_a_held_grad_of_another_dtype_or_shape_is_refused_naming_both(held, message):
+    x = Tensor(np.array([1.0, 2.0]), dtype="f32", requires_grad=True)
+    x.grad = held
+    with pytest.raises(InvalidArgument, match=message):
+        (x * x).sum().backward()
+    assert x.grad is held and not held.any()
 
 
 def test_a_leaf_keeps_one_grad_array_and_later_backwards_add_into_it():

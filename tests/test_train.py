@@ -295,6 +295,8 @@ def test_label_smoothing_rejects_bad_targets():
         label_smoothing_ce(logits, np.array([0, 3]))
     with pytest.raises(InvalidArgument, match="smoothing"):
         label_smoothing_ce(logits, np.array([0, 1]), smoothing=1.0)
+    with pytest.raises(InvalidArgument, match=r"targets shape \(2, 1\) != \(2,\)"):
+        label_smoothing_ce(logits, np.array([[0], [1]]))
 
 
 # ------------------------------------------------------------ synthetic data
