@@ -6,11 +6,10 @@
   file and reports their median and minimum and its own peak RSS;
 - ``import metaformer`` alone, once in each of ``IMPORTS`` fresh processes;
 - the Tier-1 suite's wall time, in one fresh process;
-- criterion 9's pinned 300-step training run (tiny config, batch 32, seed
-  0, peak lr 3e-3, no label smoothing), in one fresh process: its wall
-  seconds, last/first step loss ratio, last-batch accuracy, and from
-  ``getrusage`` the process's peak RSS and its minor page faults per step
-  over the run;
+- criterion 9's pinned training run (``train.pinned_run()``), in one
+  fresh process: its wall seconds, last/first step loss ratio, last-batch
+  accuracy, and from ``getrusage`` the process's peak RSS and its minor
+  page faults per step over the run;
 - S12 serving at batch 8: one process builds S12 and saves it, then a
   fresh process loads it (a model that records no graph) and runs
   ``S12_FORWARDS`` eval forwards on one batch of 8 random 224² images. It
@@ -97,18 +96,16 @@ for _ in range(int(sys.argv[2])):
 print(json.dumps({"seconds": seconds, "load_kib": load_kib,
                   "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
-# The recipe of tests/test_acceptance.py::test_criterion_09_toy_training_regression.
 PINNED_RUN = """
 import json, resource, time
-from metaformer.train import tiny_train_config, train_loop
-steps = 300
+from metaformer.train import pinned_run
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 start = time.perf_counter()
-metrics = train_loop(tiny_train_config(), steps=steps, batch_size=32, seed=0, lr_peak=3e-3, label_smoothing=0.0).metrics
+metrics = pinned_run().metrics
 wall = time.perf_counter() - start
 usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({"wall_s": wall, "ratio": metrics[-1]["loss"] / metrics[0]["loss"], "acc": metrics[-1]["train_acc"],
-                  "peak_rss_kib": usage.ru_maxrss, "minflt_per_step": (usage.ru_minflt - faults) / steps}))
+                  "peak_rss_kib": usage.ru_maxrss, "minflt_per_step": (usage.ru_minflt - faults) / len(metrics)}))
 """
 
 TIME_GRADCHECK = """

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the pinned criterion-9 training recipe over several seeds.
+"""Run the pinned criterion-9 training recipe (``train.pinned_run``) over several seeds.
 
 Criterion 9 of the acceptance gate judges one 300-step run at seed 0 by
 its last batch, so any bit change on the training path rerolls its
@@ -22,10 +22,9 @@ import argparse
 import statistics
 import time
 
-from metaformer.train import tiny_train_config, train_loop
+from metaformer.train import pinned_run
 
-# The recipe of tests/test_acceptance.py::test_criterion_09_toy_training_regression.
-STEPS, BATCH_SIZE, LR_PEAK = 300, 32, 3e-3
+# The bounds of tests/test_acceptance.py::test_criterion_09_toy_training_regression.
 MAX_LOSS_RATIO, MIN_ACCURACY = 0.25, 0.90
 TAIL = 20
 
@@ -39,8 +38,7 @@ def main() -> None:
     print(f"{'seed':>6} {'ratio':>7} {'acc':>6} {'pass':>5} {f'mean last {TAIL}':>13} {'wall s':>7}")
     for seed in range(args.seeds):
         start = time.perf_counter()
-        result = train_loop(tiny_train_config(), steps=STEPS, batch_size=BATCH_SIZE, seed=seed,
-                            lr_peak=LR_PEAK, label_smoothing=0.0)
+        result = pinned_run(seed)
         wall = time.perf_counter() - start
         losses = [m["loss"] for m in result.metrics]
         ratio, acc = losses[-1] / losses[0], result.metrics[-1]["train_acc"]

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Run the pinned desk-scale training experiment end to end.
 
-Trains the tiny pooling config for 300 steps at batch 32, seed 0 and peak
-lr 3e-3 on the synthetic shape dataset, writes a checkpoint plus NDJSON
-metrics, then reloads the checkpoint and classifies one held-out sample.
-Takes a couple of minutes on a laptop. The run is pinned; only the output
-path is a flag:
+Trains the pinned recipe of ``train.pinned_run`` at seed 0 on the synthetic
+shape dataset, writes a checkpoint plus NDJSON metrics, then reloads the
+checkpoint and classifies one held-out sample. Takes a couple of minutes on
+a laptop. The run is pinned; only the output path is a flag:
 
     PYTHONPATH=src python scripts/train_tiny.py --out tiny.ckpt
 """
@@ -15,9 +14,9 @@ import json
 
 from metaformer.checkpoint import load, save, save_tensors
 from metaformer.tensor import Tensor, softmax_lastdim
-from metaformer.train import CLASS_NAMES, synth_batch, tiny_train_config, train_loop
+from metaformer.train import CLASS_NAMES, pinned_run, synth_batch
 
-STEPS, BATCH_SIZE, SEED, LR_PEAK = 300, 32, 0, 3e-3
+SEED = 0
 
 
 def main() -> None:
@@ -25,10 +24,8 @@ def main() -> None:
     ap.add_argument("--out", default="tiny.ckpt")
     args = ap.parse_args()
 
-    config = tiny_train_config()
     metrics_path = args.out + ".metrics.ndjson"
-    result = train_loop(config, steps=STEPS, batch_size=BATCH_SIZE, seed=SEED,
-                        lr_peak=LR_PEAK, label_smoothing=0.0, metrics_path=metrics_path)
+    result = pinned_run(SEED, metrics_path)
     save(result.model, args.out)
     first, last = result.metrics[0], result.metrics[-1]
     print(json.dumps({
@@ -41,7 +38,7 @@ def main() -> None:
     }, indent=2))
 
     # Quick round trip: classify a fresh sample with the reloaded checkpoint.
-    images, labels = synth_batch(SEED + 1, 0, 1, config.input_size)
+    images, labels = synth_batch(SEED + 1, 0, 1, result.model.config.input_size)
     save_tensors(args.out + ".sample", {"input": images})
     model = load(args.out)
     probs = softmax_lastdim(model.forward(Tensor(images))).data[0]

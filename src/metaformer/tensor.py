@@ -222,6 +222,8 @@ def _accum(t: Tensor, g: Optional[np.ndarray]) -> None:
         if g.shape != t.data.shape:  # copyto and add would broadcast it silently
             raise InvalidArgument(f"backward: gradient shape {g.shape} != parameter shape {t.data.shape}")
     if t.grad is not None:
+        if not isinstance(t.grad, np.ndarray):
+            raise InvalidArgument(f"backward: held grad is a {type(t.grad).__name__}, not a numpy array")
         if t.grad.shape != t.data.shape or t.grad.dtype != t.data.dtype:  # add would cast or broadcast into it
             raise InvalidArgument(f"backward: held grad {t.grad.dtype.name} {t.grad.shape} does not match the "
                                   f"tensor's {t.data.dtype.name} {t.data.shape}")
@@ -609,8 +611,14 @@ def conv2d(
         )
     if bias is not None and bias.shape != (cout,):
         raise InvalidArgument(f"conv2d: bias shape {bias.shape} does not match output channels {cout}")
+    if bias is not None and bias.dtype != x.dtype:
+        raise InvalidArgument(f"conv2d: bias dtype {bias.dtype.name} does not match input dtype {x.dtype.name}")
     sh, sw = stride
     ph, pw = padding
+    if sh < 1 or sw < 1:
+        raise InvalidArgument(f"conv2d: stride must be >= 1, got ({sh}, {sw})")
+    if ph < 0 or pw < 0:
+        raise InvalidArgument(f"conv2d: padding must be >= 0, got ({ph}, {pw})")
     hout = conv_out_size(H, kh, sh, ph)
     wout = conv_out_size(W, kw, sw, pw)
     if hout < 1 or wout < 1:

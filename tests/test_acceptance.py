@@ -36,7 +36,7 @@ from metaformer.tensor import (
     silu,
     softmax_lastdim,
 )
-from metaformer.train import tiny_train_config, train_loop
+from metaformer.train import pinned_run, tiny_train_config, train_loop
 
 from oracles import naive_avg_pool_excl
 
@@ -302,13 +302,12 @@ def test_criterion_08_determinism_and_persistence(tmp_path):
 
 
 def test_criterion_09_toy_training_regression():
-    # Pinned reference run: tiny config, 300 steps, batch 32, seed 0, peak lr
-    # 3e-3, no label smoothing (its floor at 4 classes, ln(4*0.925...)-ish
+    # The pinned run, train.pinned_run, at seed 0. It trains with no label
+    # smoothing: smoothing's loss floor at 4 classes, ln(4*0.925...)-ish
     # ~0.349, sits above 0.25 * ln(4) ~ 0.347, so the bound is only reachable
-    # with smoothing off). Reference outcome: loss ratio 0.120, accuracy 0.969.
+    # with smoothing off. Reference outcome: loss ratio 0.063, accuracy 0.969.
     start = time.perf_counter()
-    result = train_loop(tiny_train_config(), steps=300, batch_size=32, seed=0,
-                        lr_peak=3e-3, label_smoothing=0.0)
+    result = pinned_run()
     elapsed = time.perf_counter() - start
     first = result.metrics[0]["loss"]
     last = result.metrics[-1]["loss"]

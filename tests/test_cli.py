@@ -391,6 +391,22 @@ def test_train_toy_config_with_fewer_classes_than_the_dataset_exits_1_before_bui
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def test_train_toy_config_of_one_input_channel_exits_1_before_building(tmp_path, capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("built a model it cannot train")
+
+    monkeypatch.setattr(train, "build", build)
+    config = {"custom": {**MICRO_JSON["custom"], "in_channels": 1}}
+    argv = ["train-toy", "--config", write_config(tmp_path, config), "--steps", "1", "--batch-size", "4",
+            "--out", str(tmp_path / "out.ckpt")]
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: train_loop: the dataset has 3 channels, but the config has in_channels 1"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("batch_size", ["9223372036854775808", "10000000000000000000", "375299968947542"])
 def test_train_toy_batch_that_numpy_cannot_size_exits_1_with_one_line(tmp_path, capsys, batch_size):
     argv = ["train-toy", "--config", write_config(tmp_path, MICRO_JSON), "--steps", "1", "--batch-size", batch_size,

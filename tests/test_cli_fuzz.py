@@ -7,8 +7,9 @@ infinities or a word; path flags take a missing path, a directory, an
 empty file, a truncated model container, a model container with one or two
 header or manifest bytes flipped, a model container, a tensor container, a
 valid config, one of four damaged configs (a zero in ``dims``, an unknown
-mixer kind, ``input_size`` 10**9, a NaN ``layer_scale_init``) or a new path
-in an existing directory.
+mixer kind, ``input_size`` 10**9, a NaN ``layer_scale_init``), a config of
+one input channel, which only ``train-toy`` refuses, or a new path in an
+existing directory.
 ``cli.main`` runs in-process, in a fresh directory per case, and must:
 
 - exit 0, 1 or 2, with no traceback on stderr;
@@ -55,7 +56,10 @@ DAMAGED_CONFIGS = {
     "huge_input": {"input_size": 10**9},
     "nan_scale": {"layer_scale_init": float("nan")},
 }
-PATHS = ("missing", "dir", "empty", "truncated", "flipped", "model", "tensors", "config", "new", *DAMAGED_CONFIGS)
+# MICRO_JSON on a single input channel: valid, but train-toy refuses it, as the dataset is RGB.
+OTHER_CONFIGS = {"one_channel": {"in_channels": 1}}
+PATHS = ("missing", "dir", "empty", "truncated", "flipped", "model", "tensors", "config", "new", *DAMAGED_CONFIGS,
+         *OTHER_CONFIGS)
 # Byte flips of the model container, as tests/test_checkpoint_fuzz.py draws them: (position, xor mask), the position
 # taken modulo the header and manifest length.
 FLIPS = st.lists(st.tuples(st.integers(0, 10**9), st.integers(1, 255)), min_size=1, max_size=2)
@@ -112,7 +116,7 @@ def make_files(root, flips):
         ("flipped", "flipped.ckpt"), ("model", "model.ckpt"), ("tensors", "input.mft"), ("new", "new.out"))}
     os.mkdir(paths["dir"])
     open(paths["empty"], "wb").close()
-    for kind, damage in (("config", {}), *DAMAGED_CONFIGS.items()):
+    for kind, damage in (("config", {}), *DAMAGED_CONFIGS.items(), *OTHER_CONFIGS.items()):
         paths[kind] = os.path.join(root, f"{kind}.json")
         with open(paths[kind], "w") as f:
             json.dump({"custom": {**MICRO_JSON["custom"], **damage}}, f)
@@ -158,12 +162,12 @@ def runs_long(argv):
     """Whether this argv passes validation and then runs a gradient check or more than two training steps."""
     opts = dict(token.split("=", 1) for token in argv[1:])
     seed = as_int(opts.get("--seed"), 0)
-    if opts.get("--config") != "@config" or seed is None or seed < 0:
+    if seed is None or seed < 0:
         return False
-    if argv[0] == "gradcheck":
+    if argv[0] == "gradcheck" and opts.get("--config") in ("@config", "@one_channel"):
         tolerance = as_float(opts.get("--tolerance"), 1e-4)
         return math.isfinite(tolerance) and tolerance > 0
-    if argv[0] == "train-toy":
+    if argv[0] == "train-toy" and opts.get("--config") == "@config":
         steps, batch = as_int(opts.get("--steps"), None), as_int(opts.get("--batch-size"), None)
         return (opts.get("--out") not in ("@missing", "@dir") and steps is not None and steps > 2
                 and batch is not None and 1 <= batch <= 4 and math.isfinite(as_float(opts.get("--lr"), 0.0)))
@@ -184,6 +188,8 @@ def strict_json(text):
          flips=[(0, 1)])
 @example(argv=["train-toy", "--config=@config", "--steps=1", "--batch-size=10000000000000000000", "--out=@new"],
          flips=[(0, 1)])
+# A config the dataset cannot feed: refused before the model is built.
+@example(argv=["train-toy", "--config=@one_channel", "--steps=1", "--batch-size=4", "--out=@new"], flips=[(0, 1)])
 # A config whose input numpy cannot size: a traceback from gradcheck's input batch before the input_size bound.
 @example(argv=["gradcheck", "--config=@huge_input"], flips=[(0, 1)])
 def test_every_argv_exits_0_1_or_2_and_a_refusal_is_one_error_line(argv, flips):

@@ -233,6 +233,12 @@ OP_REFUSALS = {
                            r"conv2d: kernel dims must be >= 1, got \(0, 3\)"),
     "conv2d cout % groups": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((5, 2, 3, 3)), groups=2),
                              r"conv2d: output channels 5 not divisible by groups 2"),
+    "conv2d stride 0": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), stride=(0, 1)),
+                        r"conv2d: stride must be >= 1, got \(0, 1\)"),
+    "conv2d negative padding": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), padding=(-1, 0)),
+                                r"conv2d: padding must be >= 0, got \(-1, 0\)"),
+    "conv2d f64 bias": (lambda: conv2d(rnd((1, 4, 5, 5), dtype="f32"), rnd((6, 4, 3, 3), dtype="f32"), rnd((6,))),
+                        r"conv2d: bias dtype float64 does not match input dtype float32"),
     "avg_pool2d_excl 3-D input": (lambda: avg_pool2d_excl(rnd((2, 5, 5)), 3), r"avg_pool2d_excl: input must be 4-D"),
 }
 
@@ -509,13 +515,14 @@ def test_a_wrong_shape_gradient_is_refused_for_a_tensor_no_optimizer_packed():
 @pytest.mark.parametrize("held,message", [
     (np.zeros(2, dtype=np.int64), r"held grad int64 \(2,\) does not match the tensor's float32 \(2,\)"),
     (np.zeros((1, 2), dtype=np.float32), r"held grad float32 \(1, 2\) does not match the tensor's float32 \(2,\)"),
-], ids=["int64", "shape (1, 2)"])
+    ([0.0, 0.0], r"held grad is a list, not a numpy array"),
+], ids=["int64", "shape (1, 2)", "list"])
 def test_a_held_grad_of_another_dtype_or_shape_is_refused_naming_both(held, message):
     x = Tensor(np.array([1.0, 2.0]), dtype="f32", requires_grad=True)
     x.grad = held
     with pytest.raises(InvalidArgument, match=message):
         (x * x).sum().backward()
-    assert x.grad is held and not held.any()
+    assert x.grad is held and not np.any(held)
 
 
 def test_a_leaf_keeps_one_grad_array_and_later_backwards_add_into_it():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -86,12 +87,17 @@ def test_adamw_weight_decay_shrinks_monotonically():
     assert (np.sign(p.data) == [1, -1]).all()
 
 
-def test_adamw_rejects_shape_mismatch():
+@pytest.mark.parametrize("held,message", [
+    (np.zeros(3), r"adamw: gradient shape \(3,\) != parameter shape \(2,\) for p"),
+    ([0.0, 0.0], r"adamw: gradient of p is a list, not a numpy array"),
+], ids=["shape (3,)", "list"])
+def test_adamw_refuses_an_assigned_grad_of_another_shape_or_type(held, message):
     p = make_param([1.0, 2.0])
     opt = AdamW([("p", p)])
-    p.grad = np.zeros(3)
-    with pytest.raises(InvalidArgument, match="shape"):
+    p.grad = held
+    with pytest.raises(InvalidArgument, match=message):
         opt.step(lr=0.1)
+    assert p.data.tolist() == [1.0, 2.0]
 
 
 def arena_case(dtype):
@@ -297,6 +303,11 @@ def test_label_smoothing_rejects_bad_targets():
         label_smoothing_ce(logits, np.array([0, 1]), smoothing=1.0)
     with pytest.raises(InvalidArgument, match=r"targets shape \(2, 1\) != \(2,\)"):
         label_smoothing_ce(logits, np.array([[0], [1]]))
+    with pytest.raises(InvalidArgument, match=r"label_smoothing_ce: targets must be integers, got float64"):
+        label_smoothing_ce(logits, np.array([0.0, 1.0]))
+    with pytest.raises(InvalidArgument,
+                       match=r"label_smoothing_ce: logits must be 2-D \[B, classes\], got shape \(3,\)"):
+        label_smoothing_ce(Tensor(np.zeros(3), dtype="f64"), np.array([0]))
 
 
 # ------------------------------------------------------------ synthetic data
@@ -399,11 +410,13 @@ def test_train_loop_of_one_step_runs_at_peak_lr_and_longer_runs_keep_their_warmu
     (dict(seed=-1), "seed must be >= 0"),
     (dict(label_smoothing=1.5), r"smoothing must lie in \[0, 1\)"),
     (dict(label_smoothing=math.nan), r"smoothing must lie in \[0, 1\)"),
+    (dict(config=replace(MICRO, in_channels=1)), "the dataset has 3 channels, but the config has in_channels 1"),
+    (dict(config=replace(MICRO, in_channels=4)), "the dataset has 3 channels, but the config has in_channels 4"),
 ])
 def test_train_loop_refuses_out_of_range_values_before_writing_metrics(tmp_path, kwargs, message):
     path = tmp_path / "metrics.ndjson"
     with pytest.raises(InvalidArgument, match=message):
-        train_loop(MICRO, **{"steps": 2, "batch_size": 4, "metrics_path": str(path), **kwargs})
+        train_loop(**{"config": MICRO, "steps": 2, "batch_size": 4, "metrics_path": str(path), **kwargs})
     assert not path.exists()
 
 
