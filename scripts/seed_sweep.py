@@ -33,6 +33,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=12, help="number of seeds to run (default 12)")
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error(f"--seeds must be at least 1, got {args.seeds}")
 
     passed, tails = 0, []
     print(f"{'seed':>6} {'ratio':>7} {'acc':>6} {'pass':>5} {f'mean last {TAIL}':>13} {'wall s':>7}")

@@ -74,13 +74,12 @@ class Tensor:
     ``requires_grad``, and says whether a layer's leaf is a parameter or a
     frozen tensor; results of operations are never trainable. Turning
     ``requires_grad`` off on a parameter stops recording without changing
-    what it is. ``grad`` has the shape/dtype of ``data``; only leaves keep
-    theirs after ``backward``. It is one array from the first product that
-    lands to the next ``zero_grad``: later products and later ``backward``
-    calls add into it in place, so copy it to keep it. A held ``grad`` of
-    another shape or dtype is refused before a product is added into it.
-    The first product is copied into a new array or, for a parameter packed
-    by ``train.AdamW``, into its slice of the optimizer's gradient arena.
+    what it is. ``grad`` has the shape/dtype of ``data``; only leaves keep theirs after
+    ``backward``. It is one array from the first product that lands to the next ``zero_grad``:
+    the first product is copied into a new array or, for a parameter packed by ``train.AdamW``,
+    its arena slice, and later products and ``backward`` calls add into it in place, so copy it
+    to keep it. A held ``grad`` must pass ``_check_grad``; ``backward`` and ``AdamW.step`` check
+    every one before they write, so a call they refuse changes nothing.
     """
 
     # _grad_out stays: copying p.grad into the arena in AdamW.step instead raised train-tiny peak RSS 0.5-1 MiB.
@@ -206,12 +205,27 @@ def _toposort(root: Tensor) -> list:
                 f"backward: the graph through a node of shape {node.shape} was consumed by an earlier "
                 "backward(); run the forward again"
             )
+        if node.requires_grad:
+            _check_grad(node, "backward")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
     return order
+
+
+def _check_grad(t: Tensor, where: str) -> None:
+    """The one rule for a held or assigned ``grad``: none, or a writable numpy array of ``t``'s shape and dtype."""
+    if (g := t.grad) is None:
+        return
+    if not isinstance(g, np.ndarray):
+        raise InvalidArgument(f"{where}: held grad is a {type(g).__name__}, not a numpy array")
+    if g.shape != t.data.shape or g.dtype != t.data.dtype:
+        raise InvalidArgument(f"{where}: held grad {g.dtype.name} {g.shape} does not match the "
+                              f"tensor's {t.data.dtype.name} {t.data.shape}")
+    if not g.flags.writeable:
+        raise InvalidArgument(f"{where}: held grad {g.dtype.name} {g.shape} is read-only")
 
 
 def _accum(t: Tensor, g: Optional[np.ndarray]) -> None:
@@ -221,19 +235,11 @@ def _accum(t: Tensor, g: Optional[np.ndarray]) -> None:
         g = _unbroadcast(g, t.data.shape)
         if g.shape != t.data.shape:  # copyto and add would broadcast it silently
             raise InvalidArgument(f"backward: gradient shape {g.shape} != parameter shape {t.data.shape}")
-    if t.grad is not None:
-        if not isinstance(t.grad, np.ndarray):
-            raise InvalidArgument(f"backward: held grad is a {type(t.grad).__name__}, not a numpy array")
-        if t.grad.shape != t.data.shape or t.grad.dtype != t.data.dtype:  # add would cast or broadcast into it
-            raise InvalidArgument(f"backward: held grad {t.grad.dtype.name} {t.grad.shape} does not match the "
-                                  f"tensor's {t.data.dtype.name} {t.data.shape}")
-        np.add(t.grad, g, out=t.grad)
-    elif t._grad_out is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+    if t.grad is None:  # a copy, not an add into zeros: 0.0 + (-0.0) would lose the sign of a zero gradient
+        t.grad = np.empty_like(g, dtype=t.data.dtype) if t._grad_out is None else t._grad_out
+        np.copyto(t.grad, g, casting="unsafe")
     else:
-        # A copy, not an add into zeros: 0.0 + (-0.0) would lose the sign of a zero gradient.
-        np.copyto(t._grad_out, g, casting="unsafe")
-        t.grad = t._grad_out
+        np.add(t.grad, g, out=t.grad)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -260,6 +266,11 @@ def _wrap(x: Union[Tensor, float, int, np.ndarray], dtype: np.dtype) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=dtype))
+
+
+def _is_index(value) -> bool:
+    """A geometry argument of an op: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
@@ -333,6 +344,8 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` elements along ``axis``."""
+    if not all(map(_is_index, (axis, start, length))):
+        raise InvalidArgument(f"narrow: axis, start and length must be integers, got {axis!r}, {start!r}, {length!r}")
     n = a.shape[axis]
     if start < 0 or length < 1 or start + length > n:
         raise InvalidArgument(f"narrow: slice [{start}, {start + length}) out of range for axis {axis} of size {n}")
@@ -597,6 +610,11 @@ def conv2d(
     if weight.ndim != 4:
         raise InvalidArgument(f"conv2d: weight must be 4-D [Cout,Cin/groups,Kh,Kw], got shape {weight.shape}")
     _check_same_dtype(x, weight, "conv2d")
+    for name, pair in (("stride", stride), ("padding", padding)):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_index, pair))):
+            raise InvalidArgument(f"conv2d: {name} must be a pair of integers, got {pair!r}")
+    if not _is_index(groups):
+        raise InvalidArgument(f"conv2d: groups must be an integer, got {groups!r}")
     B, cin, H, W = x.shape
     cout, cin_g, kh, kw = weight.shape
     if kh < 1 or kw < 1:
@@ -675,8 +693,8 @@ def avg_pool2d_excl(x: Tensor, k: int) -> Tensor:
     """
     if x.ndim != 4:
         raise InvalidArgument(f"avg_pool2d_excl: input must be 4-D [B,C,H,W], got shape {x.shape}")
-    if k < 1 or k % 2 == 0:
-        raise InvalidArgument(f"avg_pool2d_excl: pool size must be a positive odd integer, got {k}")
+    if not _is_index(k) or k < 1 or k % 2 == 0:
+        raise InvalidArgument(f"avg_pool2d_excl: pool size must be a positive odd integer, got {k!r}")
     _, _, H, W = x.shape
     p = k // 2
     count = _valid_count(H, W, k, x.dtype)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .init import child_rng
 from .model import Model, ModelConfig, build
-from .tensor import InvalidArgument, Tensor, log_softmax_lastdim
+from .tensor import InvalidArgument, Tensor, _check_grad, log_softmax_lastdim
 
 N_CLASSES = 4
 N_CHANNELS = 3  # synth_batch draws RGB images
@@ -110,9 +110,10 @@ class AdamW:
     parameters are dropped (a model kept after training keeps the whole
     mapping, four times its parameter bytes). Each parameter's ``data`` becomes a view of its
     slice of ``p``, and its slice of ``g`` is the buffer its ``grad`` lands in during
-    ``Tensor.backward``. ``step`` then updates the whole arena in blocks of
-    ``ADAMW_BLOCK`` elements, with each element's operations in the same order
-    as a per-tensor update, so the results are the same bits. Packing a
+    ``Tensor.backward``. A ``grad`` the caller assigns instead must pass ``tensor._check_grad``,
+    and ``step`` checks every one before it writes, so a refused step changes no row and not ``t``.
+    ``step`` then updates the whole arena in blocks of ``ADAMW_BLOCK`` elements, with each element's
+    operations in the same order as a per-tensor update, so the results are the same bits. Packing a
     parameter into a second optimizer moves it to that optimizer's arena.
     The first ``AdamW`` built in a process sets glibc's malloc mmap and trim
     thresholds to 32 and 64 MiB, for the whole process, so the memory that
@@ -150,25 +151,17 @@ class AdamW:
             start = end
 
     def step(self, lr: float) -> None:
-        """One update from the gradients currently stored on the parameters."""
+        """One update from the gradients currently stored on the parameters; an absent one counts as zeros."""
+        assigned = [(name, p) for name, p in self.params if p.grad is not p._grad_out]
+        for name, p in assigned:
+            _check_grad(p, f"adamw: parameter {name}")
+        for _, p in assigned:
+            np.copyto(p._grad_out, p.grad_array())
         self.t += 1
         b1, b2 = ADAMW_BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         decay = lr * ADAMW_WEIGHT_DECAY
-        for name, p in self.params:
-            view = p._grad_out
-            if p.grad is view:
-                continue
-            if p.grad is None:
-                view.fill(0)  # off the loss path: a zero gradient
-            elif not isinstance(p.grad, np.ndarray):
-                raise InvalidArgument(f"adamw: gradient of {name} is a {type(p.grad).__name__}, not a numpy array")
-            elif p.grad.shape != view.shape:
-                raise InvalidArgument(
-                    f"adamw: gradient shape {p.grad.shape} != parameter shape {view.shape} for {name}")
-            else:
-                np.copyto(view, p.grad)  # assigned by the caller
         s1, s2 = self._scratch
         for start in range(0, self.p.size, ADAMW_BLOCK):
             end = min(start + ADAMW_BLOCK, self.p.size)
@@ -227,6 +220,8 @@ def label_smoothing_ce(logits: Tensor, targets: np.ndarray, smoothing: float = 0
         raise InvalidArgument(f"label_smoothing_ce: targets must be integers, got {targets.dtype.name}")
     if targets.shape != (B,):
         raise InvalidArgument(f"label_smoothing_ce: targets shape {targets.shape} != ({B},)")
+    if B == 0:
+        raise InvalidArgument(f"label_smoothing_ce: the batch is empty, logits shape {logits.shape}")
     if targets.min() < 0 or targets.max() >= n_classes:
         raise InvalidArgument(
             f"label_smoothing_ce: target out of range [0, {n_classes}): {int(targets.min())}..{int(targets.max())}"

@@ -240,6 +240,24 @@ OP_REFUSALS = {
     "conv2d f64 bias": (lambda: conv2d(rnd((1, 4, 5, 5), dtype="f32"), rnd((6, 4, 3, 3), dtype="f32"), rnd((6,))),
                         r"conv2d: bias dtype float64 does not match input dtype float32"),
     "avg_pool2d_excl 3-D input": (lambda: avg_pool2d_excl(rnd((2, 5, 5)), 3), r"avg_pool2d_excl: input must be 4-D"),
+    "conv2d float stride": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), stride=(1.5, 1)),
+                            r"conv2d: stride must be a pair of integers, got \(1\.5, 1\)"),
+    "conv2d bool stride": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), stride=(True, 1)),
+                           r"conv2d: stride must be a pair of integers, got \(True, 1\)"),
+    "conv2d 1-tuple stride": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), stride=(1,)),
+                              r"conv2d: stride must be a pair of integers, got \(1,\)"),
+    "conv2d float padding": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), padding=(0.5, 0)),
+                             r"conv2d: padding must be a pair of integers, got \(0\.5, 0\)"),
+    "conv2d int padding": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), padding=3),
+                           r"conv2d: padding must be a pair of integers, got 3"),
+    "conv2d float groups": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), groups=1.0),
+                            r"conv2d: groups must be an integer, got 1\.0"),
+    "avg_pool2d_excl float k": (lambda: avg_pool2d_excl(rnd((1, 2, 5, 5)), 3.0),
+                                r"avg_pool2d_excl: pool size must be a positive odd integer, got 3\.0"),
+    "avg_pool2d_excl bool k": (lambda: avg_pool2d_excl(rnd((1, 2, 5, 5)), True),
+                               r"avg_pool2d_excl: pool size must be a positive odd integer, got True"),
+    "narrow float start": (lambda: narrow(rnd((2, 3)), 1, 0.5, 1),
+                           r"narrow: axis, start and length must be integers, got 1, 0\.5, 1"),
 }
 
 
@@ -248,6 +266,12 @@ def test_op_refusals_name_the_bad_argument(case):
     call, message = OP_REFUSALS[case]
     with pytest.raises(InvalidArgument, match=message):
         call()
+
+
+def test_conv2d_takes_numpy_integer_geometry():
+    x, w = rnd((1, 4, 5, 5), seed=1), rnd((6, 4, 3, 3), seed=2)
+    got = conv2d(x, w, stride=(np.int64(2), 1), padding=(1, np.int64(1)), groups=np.int64(1))
+    np.testing.assert_array_equal(got.data, conv2d(x, w, stride=(2, 1), padding=(1, 1)).data)
 
 
 def test_avg_pool_rejects_even_or_nonpositive_k():
@@ -512,17 +536,44 @@ def test_a_wrong_shape_gradient_is_refused_for_a_tensor_no_optimizer_packed():
     assert p.grad is None
 
 
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 @pytest.mark.parametrize("held,message", [
     (np.zeros(2, dtype=np.int64), r"held grad int64 \(2,\) does not match the tensor's float32 \(2,\)"),
     (np.zeros((1, 2), dtype=np.float32), r"held grad float32 \(1, 2\) does not match the tensor's float32 \(2,\)"),
     ([0.0, 0.0], r"held grad is a list, not a numpy array"),
-], ids=["int64", "shape (1, 2)", "list"])
+    (read_only(np.zeros(2, dtype=np.float32)), r"backward: held grad float32 \(2,\) is read-only"),
+], ids=["int64", "shape (1, 2)", "list", "read-only"])
 def test_a_held_grad_of_another_dtype_or_shape_is_refused_naming_both(held, message):
     x = Tensor(np.array([1.0, 2.0]), dtype="f32", requires_grad=True)
     x.grad = held
     with pytest.raises(InvalidArgument, match=message):
         (x * x).sum().backward()
     assert x.grad is held and not np.any(held)
+
+
+def test_a_refused_backward_changes_nothing_and_a_retry_gives_a_fresh_runs_gradients():
+    def graph():
+        a = Tensor(np.array([1.5, -2.0]), dtype="f64", requires_grad=True)
+        b = Tensor(np.array([0.5, 3.0]), dtype="f64", requires_grad=True)
+        h = a * b  # mul lands a's product before b's
+        return a, b, h, (h * h).sum()
+
+    a, b, h, loss = graph()
+    held_a = np.array([10.0, 20.0])
+    a.grad, b.grad = held_a, [0.0, 0.0]
+    with pytest.raises(InvalidArgument, match=r"backward: held grad is a list, not a numpy array"):
+        loss.backward()
+    assert a.grad is held_a and held_a.tolist() == [10.0, 20.0]
+    assert b.grad == [0.0, 0.0] and h.grad is None and loss.grad is None
+    a.grad = b.grad = None
+    loss.backward()  # no node was spent by the refused call
+    fresh_a, fresh_b, _, fresh_loss = graph()
+    fresh_loss.backward()
+    assert a.grad.tobytes() == fresh_a.grad.tobytes() and b.grad.tobytes() == fresh_b.grad.tobytes()
 
 
 def test_a_leaf_keeps_one_grad_array_and_later_backwards_add_into_it():

@@ -88,16 +88,36 @@ def test_adamw_weight_decay_shrinks_monotonically():
 
 
 @pytest.mark.parametrize("held,message", [
-    (np.zeros(3), r"adamw: gradient shape \(3,\) != parameter shape \(2,\) for p"),
-    ([0.0, 0.0], r"adamw: gradient of p is a list, not a numpy array"),
-], ids=["shape (3,)", "list"])
+    (np.zeros(3, dtype=np.float32),
+     r"adamw: parameter p: held grad float32 \(3,\) does not match the tensor's float32 \(2,\)"),
+    ([0.0, 0.0], r"adamw: parameter p: held grad is a list, not a numpy array"),
+    (np.zeros(2), r"adamw: parameter p: held grad float64 \(2,\) does not match the tensor's float32 \(2,\)"),
+    (np.zeros(2, dtype=np.complex64),
+     r"adamw: parameter p: held grad complex64 \(2,\) does not match the tensor's float32 \(2,\)"),
+], ids=["shape (3,)", "list", "f64", "complex64"])
 def test_adamw_refuses_an_assigned_grad_of_another_shape_or_type(held, message):
-    p = make_param([1.0, 2.0])
+    p = Tensor(np.array([1.0, 2.0]), dtype="f32", requires_grad=True)
     opt = AdamW([("p", p)])
     p.grad = held
     with pytest.raises(InvalidArgument, match=message):
         opt.step(lr=0.1)
-    assert p.data.tolist() == [1.0, 2.0]
+    assert p.data.tolist() == [1.0, 2.0] and opt.t == 0
+
+
+def test_a_refused_adamw_step_changes_no_arena_row_and_not_t():
+    first, second = make_param([1.0, 2.0]), make_param([3.0, -4.0, 5.0])
+    opt = AdamW([("first", first), ("second", second)])
+    first.grad, second.grad = np.array([0.5, -1.0]), np.array([2.0, 0.0, -3.0])
+    opt.step(lr=0.1)
+    before = [row.tobytes() for row in (opt.p, opt.g, opt.m, opt.v)]
+    first.grad, second.grad = np.array([7.0, 8.0]), [0.0, 0.0, 0.0]
+    with pytest.raises(InvalidArgument, match=r"adamw: parameter second: held grad is a list"):
+        opt.step(lr=0.1)
+    assert opt.t == 1
+    assert [row.tobytes() for row in (opt.p, opt.g, opt.m, opt.v)] == before
+    second.grad = np.zeros(3)
+    opt.step(lr=0.1)
+    assert opt.t == 2 and opt.g.tolist() == [7.0, 8.0, 0.0, 0.0, 0.0]
 
 
 def arena_case(dtype):
@@ -308,6 +328,8 @@ def test_label_smoothing_rejects_bad_targets():
     with pytest.raises(InvalidArgument,
                        match=r"label_smoothing_ce: logits must be 2-D \[B, classes\], got shape \(3,\)"):
         label_smoothing_ce(Tensor(np.zeros(3), dtype="f64"), np.array([0]))
+    with pytest.raises(InvalidArgument, match=r"label_smoothing_ce: the batch is empty, logits shape \(0, 4\)"):
+        label_smoothing_ce(Tensor(np.zeros((0, 4)), dtype="f64"), np.zeros(0, dtype=np.int64))
 
 
 # ------------------------------------------------------------ synthetic data
