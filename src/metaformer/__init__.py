@@ -25,7 +25,6 @@ from .mixers import (
     PoolingMixer,
     RandomMatrixMixer,
     SpatialFCMixer,
-    make_mixer,
 )
 from .model import (
     ConfigError,
@@ -36,7 +35,7 @@ from .model import (
     stage_grids,
     stage_plan,
 )
-from .norms import BatchNorm, ChannelLayerNorm, ModifiedLayerNorm, NoNorm, make_norm
+from .norms import BatchNorm, ChannelLayerNorm, ModifiedLayerNorm, NoNorm
 from .tensor import (
     InvalidArgument,
     Tensor,
@@ -98,8 +97,6 @@ __all__ = [
     "load",
     "load_tensors",
     "log_softmax_lastdim",
-    "make_mixer",
-    "make_norm",
     "matmul",
     "relu",
     "save",

@@ -23,10 +23,10 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .init import trunc_normal
-from .mixers import make_mixer
+from .mixers import MIXERS
 from .module import Module, is_training
-from .norms import make_norm
-from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d, residual_add
+from .norms import NORMS
+from .tensor import ACTIVATIONS, InvalidArgument, Tensor, _is_index, conv2d, residual_add
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -47,6 +47,9 @@ class ChannelMlp(Module):
     """
 
     def __init__(self, channels: int, activation: str, rng: np.random.Generator, dtype="f32"):
+        if activation not in ACTIVATIONS:
+            raise InvalidArgument(f"channel_mlp: unknown activation {activation!r}, "
+                                  f"expected one of {tuple(ACTIVATIONS)}")
         hidden = MLP_RATIO * channels
         self.activation = activation
         self.fc1_weight = Tensor(trunc_normal(rng, (hidden, channels, 1, 1)), requires_grad=True, dtype=dtype)
@@ -55,7 +58,7 @@ class ChannelMlp(Module):
         self.fc2_bias = Tensor(np.zeros(channels), requires_grad=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        act = ACTIVATIONS[self.activation]
+        act = ACTIVATIONS[self.activation]  # per call, so that a swapped table entry (perfbench's tracer) is used
         fc1 = (self.fc1_weight, self.fc1_bias)
         fc2 = (self.fc2_weight, self.fc2_bias)
         batch = x.shape[0] if x.ndim == 4 else 0
@@ -68,9 +71,10 @@ class ChannelMlp(Module):
 
 
 def _drop_mask(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
-    """Per-sample keep mask for ``x`` scaled by 1/(1-p), shaped [B, 1, ...]; None where drop path is the identity."""
-    if not 0.0 <= p < 1.0:
-        raise InvalidArgument(f"drop_path: rate must lie in [0, 1), got {p}")
+    """Per-sample keep mask for ``x`` scaled by 1/(1-p), shaped [B, 1, ...]; None where drop path is the identity.
+
+    ``p`` must lie in [0, 1); its callers check it.
+    """
     if not is_training(mode) or p == 0.0:
         return None
     if rng is None:
@@ -86,6 +90,8 @@ def drop_path(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]
     Kept samples are scaled by 1/(1-p) so the output matches x in
     expectation. Eval mode and p=0 are exact identities.
     """
+    if not 0.0 <= p < 1.0:
+        raise InvalidArgument(f"drop_path: rate must lie in [0, 1), got {p}")
     return residual_add(None, x, mask=_drop_mask(x, p, mode, rng))
 
 
@@ -94,17 +100,19 @@ class MetaFormerBlock(Module):
 
     def __init__(self, config: ModelConfig, stage: int, drop_path_rate: float, rng: np.random.Generator,
                  n_tokens: int, dtype="f32"):
+        if not (_is_index(stage) and 0 <= stage < 4):
+            raise InvalidArgument(f"block.stage: must be 0, 1, 2 or 3, got {stage!r}")
         if not 0.0 <= drop_path_rate < 1.0:
             raise InvalidArgument(f"block.drop_path_rate: must lie in [0, 1), got {drop_path_rate}")
-        channels = config.dims[stage]
+        channels, cfg = config.dims[stage], config.mixers[stage]
         self.config = config
         self.drop_path_rate = drop_path_rate
         mlp, ls, init = config.use_channel_mlp, config.use_layer_scale, config.layer_scale_init
         # Assignment order is checkpoint order (see Module).
-        self.norm1 = make_norm(config.norm, channels, dtype=dtype)
-        self.mixer = make_mixer(config.mixers[stage], channels, n_tokens, rng, dtype=dtype)
+        self.norm1 = NORMS[config.norm](channels, dtype=dtype)
+        self.mixer = MIXERS[cfg.kind](cfg, channels, n_tokens, rng, dtype)
         self.ls1 = Tensor(np.full(channels, init), requires_grad=True, dtype=dtype) if ls else None
-        self.norm2 = make_norm(config.norm, channels, dtype=dtype) if mlp else None
+        self.norm2 = NORMS[config.norm](channels, dtype=dtype) if mlp else None
         self.mlp = ChannelMlp(channels, config.activation, rng, dtype=dtype) if mlp else None
         self.ls2 = Tensor(np.full(channels, init), requires_grad=True, dtype=dtype) if ls and mlp else None
 

@@ -70,7 +70,17 @@ def _build_manifest(entries: Dict[str, tuple], config: Optional[dict]) -> dict:
     return {"config": config, "tensors": tensors}
 
 
-def _write_container(path: str, entries: Dict[str, tuple], config: Optional[dict]) -> None:
+def _write_container(path: str, entries: Dict[str, tuple], config: Optional[dict], where: str) -> None:
+    """Write ``entries`` ({name: (array, frozen)}) and ``config``; names must be strings and arrays float32.
+
+    Both are checked before ``path`` is opened, so a refused call writes nothing
+    and no file is written that the readers would refuse.
+    """
+    for name, (arr, _) in entries.items():
+        if not isinstance(name, str):
+            raise InvalidArgument(f"{where}: tensor name {name!r} is {type(name).__name__}, not a string")
+        if arr.dtype.type is not np.float32:
+            raise InvalidArgument(f"{where}: tensor {name!r} is {arr.dtype.name}; containers hold float32 arrays only")
     manifest = _build_manifest(entries, config)
     manifest_bytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     try:
@@ -156,8 +166,6 @@ def _read_manifest(f, path: str) -> tuple:
 
 def _read_into(f, path: str, name: str, offset: int, out: np.ndarray) -> None:
     """Fill ``out`` (C-contiguous f32 of either byte order) with the payload of ``name`` at ``offset``."""
-    if out.nbytes == 0:
-        return
     view = memoryview(out.reshape(-1).view(np.uint8))  # raw bytes; a non-native dtype cannot be cast
     f.seek(offset)
     filled = 0
@@ -178,11 +186,9 @@ def save(model: Model, path: str) -> None:
     """
     state = model.state_arrays()
     for name, (arr, _) in state.items():
-        if arr.dtype != np.float32:
-            raise InvalidArgument(f"save: tensor {name!r} is {arr.dtype.name}; containers hold float32 models only")
         if not np.isfinite(arr).all():
             raise FloatingPointError(f"save: tensor {name!r} holds a non-finite value; {path!r} not written")
-    _write_container(path, state, model.config.to_json_dict())
+    _write_container(path, state, model.config.to_json_dict(), "save")
 
 
 def load(path: str) -> Model:
@@ -236,8 +242,8 @@ def load(path: str) -> Model:
 
 
 def save_tensors(path: str, tensors: Dict[str, np.ndarray]) -> None:
-    """Write a config-free container of named arrays (e.g. an inference input)."""
-    _write_container(path, {name: (np.asarray(a), False) for name, a in tensors.items()}, None)
+    """Write a config-free container of named float32 arrays (e.g. an inference input)."""
+    _write_container(path, {name: (np.asarray(a), False) for name, a in tensors.items()}, None, "save_tensors")
 
 
 def tensor_shapes(path: str) -> Dict[str, tuple]:

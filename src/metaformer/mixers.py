@@ -300,13 +300,3 @@ MIXERS = {
     for cls in (PoolingMixer, IdentityMixer, RandomMatrixMixer, DepthwiseConvMixer, AttentionMixer, SpatialFCMixer)
 }
 MIXER_KINDS = tuple(MIXERS)
-
-
-def make_mixer(config: MixerConfig, channels: int, n_tokens: int, rng: np.random.Generator, dtype="f32"):
-    """Instantiate the runtime mixer for one block.
-
-    ``n_tokens`` binds resolution-dependent mixers (random matrix, spatial FC)
-    to the build-time grid; other mixers ignore it.
-    """
-    config.validate("mixer", channels)
-    return MIXERS[config.kind](config, channels, n_tokens, rng, dtype)

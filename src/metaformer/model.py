@@ -19,7 +19,7 @@ from .block import MetaFormerBlock
 from .init import child_rng, trunc_normal
 from .mixers import MIXERS, MixerConfig
 from .module import Module
-from .norms import NORM_KINDS, make_norm
+from .norms import NORM_KINDS, NORMS
 from .tensor import ACTIVATIONS, InvalidArgument, Tensor, conv2d, conv_out_size, matmul
 
 SMALL_DIMS = (64, 128, 320, 512)
@@ -273,7 +273,7 @@ class Model(Module):
             # interleaves each embedding with the blocks of its stage.
             setattr(self, f"embed{s + 1}", embed)
             setattr(self, f"stage{s + 1}", blocks)
-        self.norm = make_norm(config.norm, config.dims[3], dtype=dtype)
+        self.norm = NORMS[config.norm](config.dims[3], dtype=dtype)
         self.head_weight = Tensor(
             trunc_normal(rng, (config.num_classes, config.dims[3])), requires_grad=True, dtype=dtype
         )

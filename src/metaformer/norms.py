@@ -85,9 +85,3 @@ class NoNorm(Module):
 
 NORMS = {"mln": ModifiedLayerNorm, "ln": ChannelLayerNorm, "bn": BatchNorm, "none": NoNorm}
 NORM_KINDS = tuple(NORMS)
-
-
-def make_norm(kind: str, channels: int, dtype="f32"):
-    if kind not in NORMS:
-        raise InvalidArgument(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
-    return NORMS[kind](channels, dtype=dtype)

@@ -86,12 +86,13 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "trainable", "grad", "_parents", "_backward_fn", "_grad_out")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "biuf":
+            raise InvalidArgument(f"Tensor: data must be real numbers, got {arr.dtype.name} data")
         if dtype is not None:
-            arr = np.asarray(data, dtype=_as_dtype(dtype))
-        else:
-            arr = np.asarray(data)
-            if arr.dtype not in (np.float32, np.float64):
-                arr = arr.astype(np.float64)
+            arr = arr.astype(_as_dtype(dtype), copy=False)
+        elif arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
         self.requires_grad = self.trainable = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
@@ -346,6 +347,8 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` elements along ``axis``."""
     if not all(map(_is_index, (axis, start, length))):
         raise InvalidArgument(f"narrow: axis, start and length must be integers, got {axis!r}, {start!r}, {length!r}")
+    if not -a.ndim <= axis < a.ndim:
+        raise InvalidArgument(f"narrow: axis {axis} out of range for a {a.ndim}-D input")
     n = a.shape[axis]
     if start < 0 or length < 1 or start + length > n:
         raise InvalidArgument(f"narrow: slice [{start}, {start + length}) out of range for axis {axis} of size {n}")
@@ -513,6 +516,10 @@ def affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, moment
     (x, gamma, beta).
     """
     _check_same_dtype(x, gamma, "affine_norm")
+    _check_same_dtype(x, beta, "affine_norm")
+    if x.ndim < 2 or gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
+        raise InvalidArgument(f"affine_norm: gamma {gamma.shape} and beta {beta.shape} must be (C,) "
+                              f"for x of shape {x.shape}")
     xd = x.data
     affine = _channel_shape(gamma.shape[0], xd.ndim)
     g_r, b_r = gamma.data.reshape(affine), beta.data.reshape(affine)
@@ -564,15 +571,20 @@ def residual_add(x: Optional[Tensor], h: Tensor, scale: Optional[Tensor] = None,
     """
     if x is None and scale is None and mask is None:
         return h
+    if x is not None:
+        _check_same_dtype(x, h, "residual_add")
+        if x.shape != h.shape:
+            raise InvalidArgument(f"residual_add: x shape {x.shape} does not match h shape {h.shape}")
     out = h.data
     if scale is not None:
         _check_same_dtype(h, scale, "residual_add")
+        if h.ndim < 2 or scale.shape != (h.shape[1],):
+            raise InvalidArgument(f"residual_add: scale shape {scale.shape} is not (C,) for h of shape {h.shape}")
         s_r = scale.data.reshape(_channel_shape(scale.shape[0], h.ndim))
         out = out * s_r
     if mask is not None:
         out = np.multiply(out, mask, out=None if out is h.data else out)
     if x is not None:
-        _check_same_dtype(x, h, "residual_add")
         out = np.add(x.data, out, out=None if out is h.data else out)
 
     def backward(g):

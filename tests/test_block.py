@@ -196,6 +196,18 @@ def test_block_config_checks_itself_when_constructed():
         make_block(mixer=MixerConfig(kind="attention", heads=3))
 
 
+@pytest.mark.parametrize("stage", [7, 4, -1, 1.0, True])
+def test_block_refuses_a_stage_outside_0_to_3(stage):
+    cfg = ModelConfig(dims=(8,) * 4)
+    with pytest.raises(InvalidArgument, match=f"^block\\.stage: must be 0, 1, 2 or 3, got {stage!r}$"):
+        MetaFormerBlock(cfg, stage, 0.0, rng64(0), n_tokens=36)
+
+
+def test_channel_mlp_refuses_an_unknown_activation_when_constructed():
+    with pytest.raises(InvalidArgument, match=r"^channel_mlp: unknown activation 'bogus', expected one of \("):
+        ChannelMlp(3, "bogus", rng64(0))
+
+
 def test_block_identity_mixer_doubles_prenormalized_input():
     # gamma=1, beta=0, pre-normalized x, LayerScale off, zero MLP:
     # y = x + norm(x) = 2x, z = y + 0.

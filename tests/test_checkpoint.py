@@ -364,6 +364,26 @@ def test_tensor_container_roundtrip(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("tensors,message", [
+    ({3: np.zeros(2, np.float32)}, r"^save_tensors: tensor name 3 is int, not a string$"),
+    ({"x": np.zeros(2)}, r"^save_tensors: tensor 'x' is float64; containers hold float32 arrays only$"),
+    ({"x": np.arange(2)}, r"^save_tensors: tensor 'x' is int64; containers hold float32 arrays only$"),
+])
+def test_save_tensors_refuses_what_load_tensors_would_not_give_back_and_writes_nothing(tmp_path, tensors, message):
+    path = tmp_path / "input.mft"
+    with pytest.raises(InvalidArgument, match=message):
+        save_tensors(str(path), tensors)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0, 4)])
+def test_zero_size_arrays_round_trip(tmp_path, shape):
+    path = str(tmp_path / "x.mft")
+    save_tensors(path, {"empty": np.zeros(shape, np.float32), "after": np.arange(3, dtype=np.float32)})
+    back = load_tensors(path)
+    assert back["empty"].shape == shape and back["after"].tolist() == [0.0, 1.0, 2.0]
+
+
 def test_load_checks_the_config_size_before_building(tmp_path, monkeypatch, capsys):
     path = str(tmp_path / "m.ckpt")
     save(build(TINY, seed=0), path)

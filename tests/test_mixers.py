@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metaformer.gradcheck import check_tensor_gradient
-from metaformer.mixers import AttentionMixer, MixerConfig, PoolingMixer, make_mixer
+from metaformer.mixers import MIXERS, AttentionMixer, MixerConfig, PoolingMixer
 from metaformer.tensor import InvalidArgument, Tensor
 
 from oracles import naive_avg_pool_excl
@@ -17,8 +17,8 @@ def rng64(seed=0):
 
 
 def mixer_of(kind, channels=1, n_tokens=1, rng=None, dtype="f32", **fields):
-    """The ``kind`` mixer built through ``make_mixer`` from a config with ``fields``."""
-    return make_mixer(MixerConfig(kind=kind, **fields), channels, n_tokens, rng, dtype)
+    """The ``kind`` mixer built by its ``MIXERS`` class from a config with ``fields``."""
+    return MIXERS[kind](MixerConfig(kind=kind, **fields), channels, n_tokens, rng, dtype)
 
 
 # ------------------------------------------------------------------ pooling
@@ -223,7 +223,7 @@ def test_bound_mixers_refuse_a_token_count_below_1(kind, label):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_all_mixers_preserve_shape(kind):
     cfg = MixerConfig(kind=kind, heads=2 if kind == "attention" else None)
-    mixer = make_mixer(cfg, channels=8, n_tokens=30, rng=rng64(23), dtype="f64")
+    mixer = MIXERS[kind](cfg, channels=8, n_tokens=30, rng=rng64(23), dtype="f64")
     x = rnd((2, 8, 5, 6), seed=24)
     assert mixer(x).shape == x.shape
 
@@ -231,7 +231,7 @@ def test_all_mixers_preserve_shape(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_all_mixer_gradients_match_finite_differences(kind):
     cfg = MixerConfig(kind=kind, heads=2 if kind == "attention" else None)
-    mixer = make_mixer(cfg, channels=4, n_tokens=12, rng=rng64(25), dtype="f64")
+    mixer = MIXERS[kind](cfg, channels=4, n_tokens=12, rng=rng64(25), dtype="f64")
     rng = np.random.default_rng(26)
     x = Tensor(rng.standard_normal((2, 4, 3, 4)), dtype="f64", requires_grad=True)
     proj = Tensor(rng.standard_normal((2, 4, 3, 4)), dtype="f64")
@@ -262,7 +262,7 @@ def test_parameter_count_formulas_on_random_draws():
         }
         for kind, (want_train, want_frozen) in counts.items():
             cfg = MixerConfig(kind=kind, kernel=k, heads=heads)
-            mixer = make_mixer(cfg, channels=c, n_tokens=n, rng=rng)
+            mixer = MIXERS[kind](cfg, channels=c, n_tokens=n, rng=rng)
             got_train = sum(t.data.size for _, t in mixer.named_parameters("m"))
             got_frozen = sum(t.data.size for _, t in mixer.frozen_parameters("m"))
             assert (got_train, got_frozen) == (want_train, want_frozen), kind

@@ -398,6 +398,7 @@ def test_config_validation_errors_carry_field_path():
         (r"^dims:", dict(dims=(8, 8, 8))),
         (r"^mixers: need one mixer per stage, got 3", dict(mixers=(MixerConfig(),) * 3)),
         (r"^activation: unknown 'tanh'", dict(activation="tanh")),
+        (r"^norm: unknown kind 'rmsnorm', expected one of \('mln', 'ln', 'bn', 'none'\)$", dict(norm="rmsnorm")),
         (r"^layer_scale_init:", dict(layer_scale_init=0.0)),
         (r"^layer_scale_init: must be finite", dict(layer_scale_init=float("nan"))),
         (r"^layer_scale_init: must be finite", dict(layer_scale_init=float("inf"))),

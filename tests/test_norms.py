@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metaformer.gradcheck import check_tensor_gradient
-from metaformer.norms import BatchNorm, ChannelLayerNorm, ModifiedLayerNorm, make_norm
+from metaformer.norms import NORMS, BatchNorm, ChannelLayerNorm, ModifiedLayerNorm
 from metaformer.tensor import InvalidArgument, Tensor
 
 from oracles import naive_batch_norm_train, naive_layer_norm_channel, naive_mln
@@ -129,7 +129,7 @@ def test_bn_train_rejects_single_element_batches():
 
 @pytest.mark.parametrize("kind", ["mln", "ln", "bn"])
 def test_shift_invariance(kind):
-    norm = make_norm(kind, 3, dtype="f64")
+    norm = NORMS[kind](3, dtype="f64")
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, 3, 4, 4))
     mode = "train" if kind == "bn" else "eval"
@@ -139,7 +139,7 @@ def test_shift_invariance(kind):
 
 
 def test_none_norm_is_identity_and_has_no_params():
-    norm = make_norm("none", 3, dtype="f64")
+    norm = NORMS["none"](3, dtype="f64")
     x = Tensor(np.random.default_rng(8).standard_normal((1, 3, 2, 2)), dtype="f64")
     assert norm(x) is x
     assert list(norm.named_parameters("p")) == []
@@ -152,15 +152,10 @@ def test_norms_refuse_a_non_positive_eps(cls, eps):
         cls(2, eps=eps)
 
 
-def test_make_norm_rejects_unknown_kind():
-    with pytest.raises(InvalidArgument, match="unknown norm"):
-        make_norm("rmsnorm", 4)
-
-
 @pytest.mark.parametrize("kind", ["mln", "ln", "bn"])
 def test_norm_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(9)
-    norm = make_norm(kind, 3, dtype="f64")
+    norm = NORMS[kind](3, dtype="f64")
     norm.gamma.data[:] = 1.0 + 0.3 * rng.standard_normal(3)
     norm.beta.data[:] = 0.3 * rng.standard_normal(3)
     x = Tensor(rng.standard_normal((2, 3, 4, 4)), dtype="f64", requires_grad=True)

@@ -258,6 +258,23 @@ OP_REFUSALS = {
                                r"avg_pool2d_excl: pool size must be a positive odd integer, got True"),
     "narrow float start": (lambda: narrow(rnd((2, 3)), 1, 0.5, 1),
                            r"narrow: axis, start and length must be integers, got 1, 0\.5, 1"),
+    "narrow axis past ndim": (lambda: narrow(rnd((2, 3)), 9, 0, 1), r"narrow: axis 9 out of range for a 2-D input"),
+    "residual_add broadcast x": (lambda: residual_add(rnd((1, 2, 3, 3)), rnd((2, 2, 3, 3))),
+                                 r"residual_add: x shape \(1, 2, 3, 3\) does not match h shape \(2, 2, 3, 3\)"),
+    "residual_add scale length": (lambda: residual_add(None, rnd((1, 2, 3, 3)), rnd((3,))),
+                                  r"residual_add: scale shape \(3,\) is not \(C,\) for h of shape \(1, 2, 3, 3\)"),
+    "affine_norm f64 beta": (lambda: affine_norm(rnd((1, 2, 3, 3), dtype="f32"), rnd((2,), dtype="f32"), rnd((2,)),
+                                                 1, 1e-5),
+                             r"affine_norm: dtype mismatch float32 vs float64"),
+    "affine_norm gamma length": (lambda: affine_norm(rnd((1, 2, 3, 3)), rnd((3,)), rnd((3,)), 1, 1e-5),
+                                 r"affine_norm: gamma \(3,\) and beta \(3,\) must be \(C,\) "
+                                 r"for x of shape \(1, 2, 3, 3\)"),
+    "affine_norm 2-D beta": (lambda: affine_norm(rnd((1, 2, 3, 3)), rnd((2,)), rnd((2, 1)), 1, 1e-5),
+                             r"affine_norm: gamma \(2,\) and beta \(2, 1\) must be \(C,\)"),
+    "complex data": (lambda: Tensor(np.array([1 + 2j])), r"^Tensor: data must be real numbers, got complex128 data$"),
+    "complex data to f32": (lambda: Tensor([1 + 2j], dtype="f32"),
+                            r"^Tensor: data must be real numbers, got complex128 data$"),
+    "string data": (lambda: Tensor(["a"]), r"^Tensor: data must be real numbers, got str32 data$"),
 }
 
 
@@ -266,6 +283,12 @@ def test_op_refusals_name_the_bad_argument(case):
     call, message = OP_REFUSALS[case]
     with pytest.raises(InvalidArgument, match=message):
         call()
+
+
+def test_integer_and_bool_data_become_f64():
+    for data, values in ((np.arange(3), [0.0, 1.0, 2.0]), ([True, False], [1.0, 0.0])):
+        t = Tensor(data)
+        assert t.dtype == np.float64 and t.data.tolist() == values
 
 
 def test_conv2d_takes_numpy_integer_geometry():

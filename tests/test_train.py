@@ -434,6 +434,7 @@ def test_train_loop_of_one_step_runs_at_peak_lr_and_longer_runs_keep_their_warmu
     (dict(label_smoothing=math.nan), r"smoothing must lie in \[0, 1\)"),
     (dict(config=replace(MICRO, in_channels=1)), "the dataset has 3 channels, but the config has in_channels 1"),
     (dict(config=replace(MICRO, in_channels=4)), "the dataset has 3 channels, but the config has in_channels 4"),
+    (dict(steps=-1), "steps must be >= 0, got -1"),
 ])
 def test_train_loop_refuses_out_of_range_values_before_writing_metrics(tmp_path, kwargs, message):
     path = tmp_path / "metrics.ndjson"
