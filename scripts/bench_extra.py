@@ -14,7 +14,9 @@
   fresh process loads it (a model that records no graph) and runs
   ``S12_FORWARDS`` eval forwards on one batch of 8 random 224² images. It
   reports the process's peak RSS after the load and after the forwards, so
-  the forward's own memory is the difference, and the median forward time;
+  the forward's own memory is the difference, the median forward time, and
+  from ``getrusage`` the minor page faults per forward after the first
+  (the first grows the heap; the later ones reuse it);
 - ``metaformer gradcheck`` on the CLI tests' tiny config
   (``tests/test_cli.py``'s ``TINY_JSON``), seed 0: ``cli.main`` timed once
   in each of ``GRADCHECKS`` fresh processes, with its exit code and the
@@ -88,13 +90,15 @@ from metaformer.tensor import Tensor
 model = load(sys.argv[1])
 load_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 images = Tensor(np.random.default_rng(0).random((8, 3, 224, 224), dtype=np.float32))
-seconds = []
+seconds, faults = [], []
 for _ in range(int(sys.argv[2])):
     start = time.perf_counter()
     model.forward(images, mode="eval")
     seconds.append(time.perf_counter() - start)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 print(json.dumps({"seconds": seconds, "load_kib": load_kib,
-                  "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+                  "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                  "minflt_per_forward": (faults[-1] - faults[0]) / (len(faults) - 1)}))
 """
 PINNED_RUN = """
 import json, resource, time
@@ -177,7 +181,8 @@ def s12_b8_serving() -> dict:
         result = json.loads(python(SERVE_S12_B8, path, str(S12_FORWARDS)))
     return {"measurement": "S12 batch-8 graph-free serving", "forwards": S12_FORWARDS, **ms(result["seconds"]),
             "peak_rss_after_load_mib": round(result["load_kib"] / 1024, 1),
-            "peak_rss_mib": round(result["peak_rss_kib"] / 1024, 1)}
+            "peak_rss_mib": round(result["peak_rss_kib"] / 1024, 1),
+            "minflt_per_forward": round(result["minflt_per_forward"], 1)}
 
 
 def gradcheck_tiny() -> dict:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .analysis import count_params
 from .model import ConfigError, Model, ModelConfig
-from .tensor import InvalidArgument
+from .tensor import InvalidArgument, _keep_freed_heap
 
 MAGIC = b"MFCK"
 VERSION = 1
@@ -195,11 +195,17 @@ def load(path: str) -> Model:
     """Rebuild the model stored at ``path`` with parameters restored bit-exactly.
 
     Every check on the manifest runs before any payload byte is read. The
-    model is built without a random init (``Model(config, None)``) and each
-    tensor is read from the file straight into its array, then checked to be
-    finite. The model is returned for serving: its forwards record no
-    autodiff graph. Call ``requires_grad_(True)`` on it to train or fine-tune
-    it.
+    model is built without a random init (``Model(config, None)``, f32 zeros
+    that its tensors take without a copy) and each tensor is read from the
+    file straight into its array, then checked to be finite. The model is
+    returned for serving: its forwards record no autodiff graph. Call
+    ``requires_grad_(True)`` on it to train or fine-tune it.
+
+    Before it builds, ``load`` sets the process's malloc thresholds
+    (``tensor._keep_freed_heap``), as the first ``train.AdamW`` does, so the
+    memory one served forward frees stays in the heap for the next instead
+    of being faulted in again (``scripts/bench_extra.py`` reads about 12
+    minor faults per batch-8 S12 forward with them, 4,000-5,500 without).
     """
     with _open(path) as f:
         manifest, entries = _read_manifest(f, path)
@@ -216,6 +222,7 @@ def load(path: str) -> Model:
             raise CheckpointCorruptionError(
                 f"{path!r}: manifest declares {declared:,} elements, its config needs at least {needed:,}"
             )
+        _keep_freed_heap()
         model = Model(config, None)
         state = model.state_arrays()
         missing = set(state) - set(entries)

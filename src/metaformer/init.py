@@ -17,11 +17,12 @@ def trunc_normal(rng: Optional[np.random.Generator], shape) -> np.ndarray:
 
     Out-of-bound values are redrawn in index order until none is left, so the
     result is a pure function of the stream. With ``rng`` None nothing is
-    drawn: the result is f64 zeros of ``shape``, for a model whose values come
-    from elsewhere (a checkpoint).
+    drawn: the result is f32 zeros of ``shape``, for a model whose values come
+    from elsewhere (a checkpoint); f32 is the only dtype containers hold, so
+    an f32 ``Tensor`` takes the array without a copy.
     """
     if rng is None:
-        return np.zeros(shape)
+        return np.zeros(shape, np.float32)
     out = rng.standard_normal(shape)
     flat = out.reshape(-1)
     redraw = np.flatnonzero(np.abs(flat) > TRUNC_BOUND)

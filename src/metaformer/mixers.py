@@ -134,7 +134,9 @@ class PoolingMixer(Mixer):
     """Average of each token's neighborhood minus the token itself.
 
     The subtraction cancels the block's own residual connection, so the
-    branch contributes pure neighborhood differences. No parameters.
+    branch contributes pure neighborhood differences. No parameters. When the
+    pooled result records no graph, ``x`` is subtracted in place in that new
+    array, so the mixer makes one full-size array instead of two.
     """
 
     kind = "pooling"
@@ -145,7 +147,11 @@ class PoolingMixer(Mixer):
         self.pool_size = cfg.pool_size
 
     def __call__(self, x: Tensor) -> Tensor:
-        return avg_pool2d_excl(x, self.pool_size) - x
+        pooled = avg_pool2d_excl(x, self.pool_size)
+        if pooled.requires_grad:
+            return pooled - x
+        np.subtract(pooled.data, x.data, out=pooled.data)
+        return pooled
 
     @staticmethod
     def macs(cfg, c, n):

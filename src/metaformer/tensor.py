@@ -20,7 +20,9 @@ then k-1 column-shifted adds); conv2d is im2col into K-major columns
 [groups, Cin/groups*Kh*Kw, B*Hout*Wout] plus one GEMM per group, where a 1x1
 stride-1 unpadded ungrouped input is its own column matrix; f32 GELU
 evaluates its normal CDF, erf included, as a rational approximation in f32,
-while f64 GELU keeps scipy's erf, imported only when first used.
+one cache-sized block at a time, and multiplies each block by x while it is
+in cache, keeping a full-size CDF only for a backward; f64 GELU keeps scipy's
+erf, imported only when first used.
 
 The MetaFormer frame records one node per step: ``affine_norm`` is a whole
 normalization (moments, normalize, per-channel affine) and ``residual_add``
@@ -33,6 +35,8 @@ moments, and recomputes the centred input in its backward.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from typing import Optional, Sequence, Union
 
@@ -65,6 +69,49 @@ def _as_dtype(dtype: str) -> np.dtype:
     return np.dtype(DTYPES[dtype])
 
 
+def _narrow(arr: np.ndarray, target: np.dtype) -> np.ndarray:
+    """``arr`` cast to the narrower float dtype ``target``; a finite value that would become infinite is refused.
+
+    Infinities and NaNs keep their values, and values too small for ``target`` round to its subnormals or zero.
+    """
+    try:
+        with np.errstate(over="raise", under="ignore"):
+            return arr.astype(target)
+    except FloatingPointError:
+        with np.errstate(over="ignore", under="ignore"):
+            first = arr[np.isinf(arr.astype(target)) & np.isfinite(arr)].flat[0]
+        raise InvalidArgument(f"Tensor: {arr.dtype.name} value {float(first)!r} overflows {target.name} "
+                              "to infinity") from None
+
+
+# glibc mallopt parameters and the values ``_keep_freed_heap`` sets: the largest mmap
+# threshold glibc allows on 64-bit, and the trim threshold its dynamic rule
+# (twice the mmap threshold) would reach there.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Once per process: keep the memory that one step or forward frees in the heap for the next one.
+
+    By default glibc returns the freed top of the heap to the OS (trim) and
+    serves large arrays by fresh mmaps, so each training step or served
+    forward faults the memory of the last one back in. ``train.AdamW`` and
+    ``checkpoint.load`` call this. Both thresholds are set, because setting
+    one turns off glibc's dynamic adjustment of the other. Where libc has no
+    ``mallopt`` (macOS, for one) nothing is done.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOC_SETTINGS:
+        mallopt(param, value)
+
+
 class Tensor:
     """N-dimensional array participating in the autodiff graph.
 
@@ -90,7 +137,11 @@ class Tensor:
         if arr.dtype.kind not in "biuf":
             raise InvalidArgument(f"Tensor: data must be real numbers, got {arr.dtype.name} data")
         if dtype is not None:
-            arr = arr.astype(_as_dtype(dtype), copy=False)
+            target = _as_dtype(dtype)
+            if arr.dtype.kind == "f" and arr.dtype.itemsize > target.itemsize:
+                arr = _narrow(arr, target)
+            else:
+                arr = arr.astype(target, copy=False)
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
@@ -408,51 +459,75 @@ def _horner(z: np.ndarray, coeffs: tuple, acc: np.ndarray) -> None:
     acc += coeffs[-1]
 
 
-def _erf_f32(x: np.ndarray, normal_cdf: bool = False) -> np.ndarray:
-    """erf of a float32 array in float32; odd, and exact at 0 and +-inf.
+def _erf_block(src: np.ndarray, t: np.ndarray, z: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
+    """``t`` = erf(``src``) for one float32 block (``src`` may be ``t``); ``z``, ``num`` and ``den`` are scratch.
 
-    With ``normal_cdf`` the result is the normal CDF 0.5 * (1 + erf(x / sqrt(2)))
-    instead, its scale and shift applied in the same blocks. Evaluated in place
-    over blocks of ``_ERF_BLOCK`` elements, so that the ~20 passes of the
-    rational run in cache rather than in memory.
+    The scratch arrays hold at least ``t.size`` elements. A block is at most
+    ``_ERF_BLOCK`` elements, so that the ~20 passes of the rational run in
+    cache rather than in memory.
     """
+    n = t.size
+    z, num, den = z[:n], num[:n], den[:n]
+    np.clip(src, -_ERF_CLAMP, _ERF_CLAMP, out=t)
+    np.multiply(t, t, out=z)
+    _horner(z, _ERF_P, num)
+    _horner(z, _ERF_Q, den)
+    num *= t
+    np.divide(num, den, out=t)
+
+
+def _erf_scratch(size: int) -> tuple:
+    return tuple(np.empty(min(_ERF_BLOCK, size), np.float32) for _ in range(3))
+
+
+def _erf_f32(x: np.ndarray) -> np.ndarray:
+    """erf of a float32 array in float32; odd, and exact at 0 and +-inf."""
     flat = x.reshape(-1)
     out = np.empty_like(flat)
-    z, num, den = (np.empty(min(_ERF_BLOCK, flat.size), np.float32) for _ in range(3))
+    scratch = _erf_scratch(flat.size)
     for start in range(0, flat.size, _ERF_BLOCK):
-        t = out[start : start + _ERF_BLOCK]
-        n = t.size
-        src = flat[start : start + _ERF_BLOCK]
-        if normal_cdf:
-            src = np.multiply(src, _INV_SQRT2, out=t)
-        np.clip(src, -_ERF_CLAMP, _ERF_CLAMP, out=t)
-        np.multiply(t, t, out=z[:n])
-        _horner(z[:n], _ERF_P, num[:n])
-        _horner(z[:n], _ERF_Q, den[:n])
-        num[:n] *= t
-        np.divide(num[:n], den[:n], out=t)
-        if normal_cdf:
-            t += 1.0
-            t *= 0.5
+        _erf_block(flat[start : start + _ERF_BLOCK], out[start : start + _ERF_BLOCK], *scratch)
     return out.reshape(x.shape)
 
 
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """0.5 * (1 + erf(x / sqrt(2)))."""
-    if x.dtype == np.float32:
-        return _erf_f32(x, normal_cdf=True)
-    from scipy.special import erf  # f64 only, so importing this module does not load scipy
+def _gelu_f32(x: np.ndarray, keep_cdf: bool) -> tuple:
+    """(x * cdf, cdf if ``keep_cdf`` else None) for a float32 ``x``, cdf = 0.5 * (1 + erf(x / sqrt(2))).
 
-    cdf = erf(x * _INV_SQRT2)
-    cdf += 1.0
-    cdf *= 0.5
-    return cdf
+    One loop over blocks of ``_ERF_BLOCK`` elements: each block's CDF is
+    multiplied by x while it is still in cache. It goes into a full-size
+    array only when ``keep_cdf``; otherwise one block is reused.
+    """
+    flat = x.reshape(-1)
+    y = np.empty_like(flat)
+    cdf = np.empty_like(flat) if keep_cdf else None
+    block = None if keep_cdf else np.empty(min(_ERF_BLOCK, flat.size), np.float32)
+    scratch = _erf_scratch(flat.size)
+    for start in range(0, flat.size, _ERF_BLOCK):
+        src = flat[start : start + _ERF_BLOCK]
+        t = cdf[start : start + _ERF_BLOCK] if keep_cdf else block[: src.size]
+        np.multiply(src, _INV_SQRT2, out=t)
+        _erf_block(t, t, *scratch)
+        t += 1.0
+        t *= 0.5
+        np.multiply(src, t, out=y[start : start + _ERF_BLOCK])
+    return y.reshape(x.shape), None if cdf is None else cdf.reshape(x.shape)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    The normal CDF is kept for the backward only when ``a`` records a graph.
+    """
     x = a.data
-    cdf = _normal_cdf(x)
+    if x.dtype == np.float32:
+        y, cdf = _gelu_f32(x, a.requires_grad)
+    else:
+        from scipy.special import erf  # f64 only, so importing this module does not load scipy
+
+        cdf = erf(x * _INV_SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
+        y = x * cdf
 
     def backward(g):
         d = x * x
@@ -464,7 +539,7 @@ def gelu(a: Tensor) -> Tensor:
         d *= g
         return (d,)
 
-    return _make(x * cdf, (a,), backward)
+    return _make(y, (a,), backward)
 
 
 def silu(a: Tensor) -> Tensor:
@@ -520,6 +595,8 @@ def affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, moment
     if x.ndim < 2 or gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
         raise InvalidArgument(f"affine_norm: gamma {gamma.shape} and beta {beta.shape} must be (C,) "
                               f"for x of shape {x.shape}")
+    if not all(_is_index(ax) and -x.ndim <= ax < x.ndim for ax in (axes if isinstance(axes, tuple) else (axes,))):
+        raise InvalidArgument(f"affine_norm: axes {axes!r} out of range for a {x.ndim}-D input")
     xd = x.data
     affine = _channel_shape(gamma.shape[0], xd.ndim)
     g_r, b_r = gamma.data.reshape(affine), beta.data.reshape(affine)
@@ -583,6 +660,9 @@ def residual_add(x: Optional[Tensor], h: Tensor, scale: Optional[Tensor] = None,
         s_r = scale.data.reshape(_channel_shape(scale.shape[0], h.ndim))
         out = out * s_r
     if mask is not None:
+        m_shape = np.shape(mask)
+        if len(m_shape) > h.ndim or any(m not in (1, n) for m, n in zip(m_shape[::-1], h.shape[::-1])):
+            raise InvalidArgument(f"residual_add: mask shape {m_shape} does not broadcast to h shape {h.shape}")
         out = np.multiply(out, mask, out=None if out is h.data else out)
     if x is not None:
         out = np.add(x.data, out, out=None if out is h.data else out)
@@ -722,14 +802,28 @@ def avg_pool2d_excl(x: Tensor, k: int) -> Tensor:
 
 def _box_sum(a: np.ndarray, p: int) -> np.ndarray:
     """Sum over the in-bounds part of each centered (2p+1) x (2p+1) window of [B, C, H, W]."""
-    rows = a.copy()
-    for d in range(1, p + 1):
-        rows[:, :, d:] += a[:, :, :-d]
-        rows[:, :, :-d] += a[:, :, d:]
-    out = rows.copy()
-    for d in range(1, p + 1):
-        out[:, :, :, d:] += rows[:, :, :, :-d]
-        out[:, :, :, :-d] += rows[:, :, :, d:]
+    return _line_sum(_line_sum(a, p, 2), p, 3)
+
+
+def _line_sum(a: np.ndarray, p: int, axis: int) -> np.ndarray:
+    """A new array: each cell of ``a`` plus its in-bounds neighbours up to ``p`` away along ``axis``.
+
+    The first shift adds into the new array; each later shift d then adds the
+    cells d before and the cells d after, in place.
+    """
+    if p == 0:
+        return a.copy()
+
+    def cut(lo=None, hi=None) -> tuple:
+        return (slice(None),) * axis + (slice(lo, hi),)
+
+    out = np.empty(a.shape, a.dtype)
+    out[cut(hi=1)] = a[cut(hi=1)]
+    np.add(a[cut(1)], a[cut(hi=-1)], out=out[cut(1)])
+    out[cut(hi=-1)] += a[cut(1)]
+    for d in range(2, p + 1):
+        out[cut(d)] += a[cut(hi=-d)]
+        out[cut(hi=-d)] += a[cut(d)]
     return out
 
 

@@ -5,7 +5,8 @@ label-smoothing cross-entropy. AdamW keeps the parameters, their gradients
 and its two moments in one flat arena each, so a step is a fixed sequence of
 whole-arena numpy calls rather than one pass per tensor; its results are the
 bits of the per-tensor update. Building an AdamW also raises glibc's malloc
-thresholds once per process, so the memory that a step's graph frees stays
+thresholds once per process (``tensor._keep_freed_heap``, which
+``checkpoint.load`` calls too), so the memory that a step's graph frees stays
 in the heap for the next step instead of going back to the OS and being
 faulted in again. The dataset draws one of four patterns (filled disk,
 filled square, horizontal stripes, vertical stripes) with seeded jitter and
@@ -15,8 +16,6 @@ bitwise reproducible.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import math
 import mmap
@@ -28,7 +27,7 @@ import numpy as np
 
 from .init import child_rng
 from .model import Model, ModelConfig, build
-from .tensor import InvalidArgument, Tensor, _check_grad, log_softmax_lastdim
+from .tensor import InvalidArgument, Tensor, _check_grad, _keep_freed_heap, log_softmax_lastdim
 
 N_CLASSES = 4
 N_CHANNELS = 3  # synth_batch draws RGB images
@@ -41,31 +40,6 @@ ADAMW_EPS = 1e-8
 ADAMW_WEIGHT_DECAY = 0.05
 # Elements per pass of AdamW's update: one block of each arena row and of both scratch rows stay in cache.
 ADAMW_BLOCK = 16384
-# glibc mallopt parameters and the values training sets: the largest mmap
-# threshold glibc allows on 64-bit, and the trim threshold its dynamic rule
-# (twice the mmap threshold) would reach there.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MALLOC_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
-
-
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Once per process: keep a training step's freed memory in the heap for the next step.
-
-    By default glibc returns the freed top of the heap to the OS (trim) and
-    serves large arrays by fresh mmaps, so each step faults the memory of
-    the last one back in. Both thresholds are set, because setting one turns
-    off glibc's dynamic adjustment of the other. Where libc has no
-    ``mallopt`` (macOS, for one) nothing is done.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in _MALLOC_SETTINGS:
-        mallopt(param, value)
 
 
 def default_peak_lr(batch_size: int) -> float:
@@ -116,8 +90,10 @@ class AdamW:
     operations in the same order as a per-tensor update, so the results are the same bits. Packing a
     parameter into a second optimizer moves it to that optimizer's arena.
     The first ``AdamW`` built in a process sets glibc's malloc mmap and trim
-    thresholds to 32 and 64 MiB, for the whole process, so the memory that
-    each step's graph frees is reused by the next step.
+    thresholds to 32 and 64 MiB, for the whole process
+    (``tensor._keep_freed_heap``), so the memory that each step's graph frees
+    is reused by the next step. A process that loaded a checkpoint has them
+    set already.
     """
 
     def __init__(self, params: List[Tuple[str, Tensor]]):

@@ -62,6 +62,19 @@ def naive_avg_pool_excl(x, k):
     return out
 
 
+def loop_box_sum(a, p):
+    """Zero-padded (2p+1)^2 box sum of [B, C, H, W] as copy-then-add passes: rows, then columns."""
+    rows = a.copy()
+    for d in range(1, p + 1):
+        rows[:, :, d:] += a[:, :, :-d]
+        rows[:, :, :-d] += a[:, :, d:]
+    out = rows.copy()
+    for d in range(1, p + 1):
+        out[:, :, :, d:] += rows[:, :, :, :-d]
+        out[:, :, :, :-d] += rows[:, :, :, d:]
+    return out
+
+
 def naive_avg_pool_zeropad(x, k):
     """Zero-padded average pooling with the constant divisor k*k."""
     B, C, H, W = x.shape

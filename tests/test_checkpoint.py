@@ -4,12 +4,13 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from metaformer import checkpoint, cli, model as model_module
+from metaformer import checkpoint, cli, model as model_module, tensor as tensor_module, train as train_module
 from metaformer.checkpoint import (
     MAGIC,
     CheckpointCorruptionError,
@@ -512,6 +513,33 @@ def test_load_draws_no_random_init(tmp_path, monkeypatch):
         assert restored[name][1] == frozen
         assert restored[name][0].dtype == np.float32
         assert np.array_equal(restored[name][0], arr), name
+
+
+def test_load_peaks_at_its_f32_parameter_bytes_plus_a_small_slack(tmp_path):
+    # Staging each weight as f64 zeros and copying it to f32 peaked 556 KiB over the parameter bytes
+    # here, about twice the largest tensor; building f32 zeros in place costs about 130 KiB of Python objects.
+    config = tiny_train_config()
+    path = str(tmp_path / "m.ckpt")
+    save(build(config, seed=0), path)
+    param_bytes = 4 * sum(count_params(config))
+    load(path)  # first-call costs (the heap helper, lazy imports) are not the load's
+    tracemalloc.start()
+    try:
+        load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < param_bytes + 256 * 1024, (peak, param_bytes)
+
+
+def test_load_sets_the_heap_rule_before_it_builds(tmp_path, monkeypatch):
+    path = saved_tiny(tmp_path)
+    events = []
+    monkeypatch.setattr(checkpoint, "_keep_freed_heap", lambda: events.append("heap"))
+    monkeypatch.setattr(checkpoint, "Model", lambda *a: events.append("build") or Model(*a))
+    load(path)
+    assert events == ["heap", "build"]
+    assert train_module._keep_freed_heap is tensor_module._keep_freed_heap  # AdamW sets the same rule
 
 
 class ReadCounter:

@@ -3,7 +3,7 @@ import pytest
 
 from metaformer.gradcheck import check_tensor_gradient
 from metaformer.mixers import MIXERS, AttentionMixer, MixerConfig, PoolingMixer
-from metaformer.tensor import InvalidArgument, Tensor
+from metaformer.tensor import InvalidArgument, Tensor, avg_pool2d_excl
 
 from oracles import naive_avg_pool_excl
 
@@ -55,6 +55,18 @@ def test_pooling_bruteforce_equivalence_on_random_inputs(k):
         x = np.random.default_rng(seed).standard_normal((1, 2, 5, 5))
         got = mixer_of("pooling", pool_size=k)(Tensor(x, dtype="f64")).data
         np.testing.assert_allclose(got, naive_avg_pool_excl(x, k) - x, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_graph_free_pooling_subtracts_in_place_with_the_bits_of_pool_minus_x(k):
+    x = Tensor(np.random.default_rng(k).standard_normal((2, 3, 7, 6)), dtype="f32")
+    before = x.data.copy()
+    got = mixer_of("pooling", pool_size=k)(x)
+    assert got.data.tobytes() == (avg_pool2d_excl(x, k) - x).data.tobytes()
+    assert x.data.tobytes() == before.tobytes() and not np.shares_memory(got.data, x.data)
+    x.requires_grad = True
+    recorded = mixer_of("pooling", pool_size=k)(x)
+    assert recorded.requires_grad and recorded.data.tobytes() == got.data.tobytes()
 
 
 def test_pooling_has_no_parameters():

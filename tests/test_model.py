@@ -131,10 +131,11 @@ def test_trunc_normal_is_bit_identical_to_the_whole_array_loop(seed, shape):
     assert np.array_equal(got, loop_trunc_normal(child_rng(seed, 0), shape))
 
 
-def test_trunc_normal_without_rng_is_f64_zeros():
+def test_trunc_normal_without_rng_is_f32_zeros_taken_without_a_copy():
     out = trunc_normal(None, (5, 3))
-    assert out.dtype == np.float64 and out.shape == (5, 3)
+    assert out.dtype == np.float32 and out.shape == (5, 3)
     assert not out.any()
+    assert Tensor(out, dtype="f32").data is out
 
 
 INIT_FREE_CONFIGS = [

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from metaformer import tensor as tensor_module
 from metaformer.gradcheck import check_tensor_gradient
 from metaformer.tensor import (
+    _ERF_BLOCK,
     _INV_SQRT2,
+    _box_sum,
     _erf_f32,
     InvalidArgument,
     Tensor,
@@ -28,7 +31,7 @@ from metaformer.tensor import (
     softmax_lastdim,
 )
 
-from oracles import naive_avg_pool_excl, naive_avg_pool_zeropad, naive_conv2d, naive_softmax_rows
+from oracles import loop_box_sum, naive_avg_pool_excl, naive_avg_pool_zeropad, naive_conv2d, naive_softmax_rows
 
 
 DTYPE_NP = {"f32": np.float32, "f64": np.float64}
@@ -271,6 +274,16 @@ OP_REFUSALS = {
                                  r"for x of shape \(1, 2, 3, 3\)"),
     "affine_norm 2-D beta": (lambda: affine_norm(rnd((1, 2, 3, 3)), rnd((2,)), rnd((2, 1)), 1, 1e-5),
                              r"affine_norm: gamma \(2,\) and beta \(2, 1\) must be \(C,\)"),
+    "residual_add mask": (lambda: residual_add(None, rnd((2, 2, 3, 3)), mask=np.ones((3, 1, 1, 1))),
+                          r"residual_add: mask shape \(3, 1, 1, 1\) does not broadcast to h shape \(2, 2, 3, 3\)"),
+    "residual_add mask of more dims": (lambda: residual_add(None, rnd((2, 3)), mask=np.ones((1, 2, 3))),
+                                       r"residual_add: mask shape \(1, 2, 3\) does not broadcast to h shape \(2, 3\)"),
+    "affine_norm axis past ndim": (lambda: affine_norm(rnd((1, 2, 3, 3)), rnd((2,)), rnd((2,)), (1, 4), 1e-5),
+                                   r"affine_norm: axes \(1, 4\) out of range for a 4-D input"),
+    "affine_norm axis below -ndim": (lambda: affine_norm(rnd((1, 2, 3, 3)), rnd((2,)), rnd((2,)), -5, 1e-5),
+                                     r"affine_norm: axes -5 out of range for a 4-D input"),
+    "f64 data overflowing f32": (lambda: Tensor([1.0, 1e300], dtype="f32"),
+                                 r"^Tensor: float64 value 1e\+300 overflows float32 to infinity$"),
     "complex data": (lambda: Tensor(np.array([1 + 2j])), r"^Tensor: data must be real numbers, got complex128 data$"),
     "complex data to f32": (lambda: Tensor([1 + 2j], dtype="f32"),
                             r"^Tensor: data must be real numbers, got complex128 data$"),
@@ -285,6 +298,15 @@ def test_op_refusals_name_the_bad_argument(case):
         call()
 
 
+def test_narrowing_keeps_non_finite_values_and_a_same_dtype_tensor_takes_its_array():
+    with np.errstate(all="raise"):  # no warning either
+        got = Tensor(np.array([np.inf, -np.inf, np.nan, 1e-300, 3e38]), dtype="f32").data
+    assert got.dtype == np.float32
+    assert got[0] == np.inf and got[1] == -np.inf and np.isnan(got[2]) and got[3] == 0.0 and got[4] == np.float32(3e38)
+    x = np.ones((2, 3), np.float32)
+    assert Tensor(x[1:], dtype="f32").data.base is x
+
+
 def test_integer_and_bool_data_become_f64():
     for data, values in ((np.arange(3), [0.0, 1.0, 2.0]), ([True, False], [1.0, 0.0])):
         t = Tensor(data)
@@ -295,6 +317,19 @@ def test_conv2d_takes_numpy_integer_geometry():
     x, w = rnd((1, 4, 5, 5), seed=1), rnd((6, 4, 3, 3), seed=2)
     got = conv2d(x, w, stride=(np.int64(2), 1), padding=(1, np.int64(1)), groups=np.int64(1))
     np.testing.assert_array_equal(got.data, conv2d(x, w, stride=(2, 1), padding=(1, 1)).data)
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("hw", [(1, 1), (1, 6), (2, 5), (5, 1), (7, 2), (2, 2), (9, 8)])
+def test_box_sum_is_bit_identical_to_the_copy_then_add_loop(p, hw):
+    rng = np.random.default_rng(11)
+    for dtype in (np.float32, np.float64):
+        a = (rng.standard_normal((2, 3) + hw) * 100).astype(dtype)
+        before = a.copy()
+        got = _box_sum(a, p)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert got.tobytes() == loop_box_sum(a, p).tobytes()
+        assert a.tobytes() == before.tobytes()
 
 
 def test_avg_pool_rejects_even_or_nonpositive_k():
@@ -396,8 +431,27 @@ def test_f32_gelu_folds_the_cdf_into_the_erf_loop_bit_for_bit():
         cdf = _erf_f32(x * _INV_SQRT2)
         cdf += 1.0
         cdf *= 0.5
-        with np.errstate(invalid="ignore"):  # gelu(-inf) = -inf * 0
-            assert gelu(Tensor(x)).data.tobytes() == (x * cdf).tobytes(), n
+        for requires_grad in (False, True):
+            with np.errstate(invalid="ignore"):  # gelu(-inf) = -inf * 0
+                got = gelu(Tensor(x, requires_grad=requires_grad)).data
+                assert got.tobytes() == (x * cdf).tobytes(), (n, requires_grad)
+
+
+def test_graph_free_f32_gelu_keeps_no_full_size_cdf():
+    x = np.random.default_rng(8).standard_normal(8 * _ERF_BLOCK + 5).astype(np.float32)
+    peaks = {}
+    for requires_grad in (False, True):
+        a = Tensor(x, requires_grad=requires_grad)
+        tracemalloc.start()
+        try:
+            y = gelu(a)
+            peaks[requires_grad] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del y
+    scratch = 4 * _ERF_BLOCK * x.itemsize  # one CDF block and the rational's three
+    assert peaks[False] < x.nbytes + scratch + 16 * 1024, peaks
+    assert peaks[True] >= 2 * x.nbytes, peaks  # the backward needs the CDF
 
 
 def test_f32_gelu_error_is_bounded_by_the_erf_error():
