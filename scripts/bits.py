@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Print sha256 digests of the training and serving bits.
 
-Six lines, one digest each:
+Seven lines, one digest each:
 
 - the step losses of a 60-step tiny training run;
 - the final parameters of that run, by name, in container order;
 - the logits of a saved-then-loaded S12 at batch 1 and at batch 8 (224²);
 - the parameter gradients of one train-mode backward, drop path on, over
   tiny configs that together use every mixer, norm and activation, in f32
-  and in f64, so the backward of every op a model records is covered.
+  and in f64, so the backward of every op a model records is covered;
+- the eval logits of the same configs in f64 with ``requires_grad_(False)``,
+  so the graph-free f64 forward (per-sample channel MLP, in-place pooling,
+  GELU without a full-size CDF) is covered too.
 
 Run it on two checkouts and compare the output to see in one command
 whether a change moved any of these bits:
@@ -71,6 +74,15 @@ def hybrid_gradients(dtype: str) -> str:
     return digest(chunks)
 
 
+def hybrid_graph_free_f64_logits() -> str:
+    images = np.random.default_rng(SEED).random((HYBRID_BATCH, 3, 32, 32))
+    chunks = []
+    for config in hybrid_configs():
+        model = build(config, seed=SEED, dtype="f64").requires_grad_(False)
+        chunks.append(model.forward(Tensor(images, dtype="f64"), mode="eval").data.tobytes())
+    return digest(chunks)
+
+
 def main() -> None:
     result = train_loop(tiny_train_config(), steps=TRAIN_STEPS, seed=SEED)
     losses = np.array([m["loss"] for m in result.metrics], dtype=np.float64)
@@ -89,6 +101,7 @@ def main() -> None:
         print(f"S12 loaded, batch {batch} logits  {digest([logits.tobytes()])}")
     for dtype in ("f32", "f64"):
         print(f"hybrid configs, {dtype} train-backward parameter gradients  {hybrid_gradients(dtype)}")
+    print(f"hybrid configs, f64 graph-free eval logits  {hybrid_graph_free_f64_logits()}")
 
 
 if __name__ == "__main__":

@@ -18,11 +18,11 @@ reaches a spent node raises. Leaves are never spent.
 Kernel choices: k x k pooling is a separable box sum (k-1 row-shifted adds,
 then k-1 column-shifted adds); conv2d is im2col into K-major columns
 [groups, Cin/groups*Kh*Kw, B*Hout*Wout] plus one GEMM per group, where a 1x1
-stride-1 unpadded ungrouped input is its own column matrix; f32 GELU
-evaluates its normal CDF, erf included, as a rational approximation in f32,
-one cache-sized block at a time, and multiplies each block by x while it is
-in cache, keeping a full-size CDF only for a backward; f64 GELU keeps scipy's
-erf, imported only when first used.
+stride-1 unpadded ungrouped input is its own column matrix; GELU evaluates
+its normal CDF one cache-sized block at a time and multiplies each block by x
+while it is in cache, keeping a full-size CDF only for a backward. An f32
+block's erf is a rational approximation in f32, an f64 block's is scipy's,
+imported only when first used.
 
 The MetaFormer frame records one node per step: ``affine_norm`` is a whole
 normalization (moments, normalize, per-channel affine) and ``residual_add``
@@ -330,6 +330,25 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
         raise InvalidArgument(f"{op}: dtype mismatch {a.dtype.name} vs {b.dtype.name}")
 
 
+def _broadcasts(a: tuple, b: tuple) -> bool:
+    if a == b:  # the common case, without the cost of np.broadcast_shapes
+        return True
+    try:
+        np.broadcast_shapes(a, b)
+    except ValueError:
+        return False
+    return True
+
+
+def _operand(a: Tensor, b, op: str) -> Tensor:
+    """``b`` of a binary elementwise op as a tensor of ``a``'s dtype whose shape broadcasts with ``a``'s."""
+    b = _wrap(b, a.dtype)
+    _check_same_dtype(a, b, op)
+    if not _broadcasts(a.shape, b.shape):
+        raise InvalidArgument(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
+    return b
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcasted gradient back down to ``shape``."""
     extra = g.ndim - len(shape)
@@ -344,26 +363,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ------------------------------------------------------------------ arithmetic
 
 def add(a: Tensor, b) -> Tensor:
-    b = _wrap(b, a.dtype)
-    _check_same_dtype(a, b, "add")
+    b = _operand(a, b, "add")
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b) -> Tensor:
-    b = _wrap(b, a.dtype)
-    _check_same_dtype(a, b, "sub")
+    b = _operand(a, b, "sub")
     return _make(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b) -> Tensor:
-    b = _wrap(b, a.dtype)
-    _check_same_dtype(a, b, "mul")
+    b = _operand(a, b, "mul")
     return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def div(a: Tensor, b) -> Tensor:
-    b = _wrap(b, a.dtype)
-    _check_same_dtype(a, b, "div")
+    b = _operand(a, b, "div")
     return _make(a.data / b.data, (a, b), lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
@@ -376,6 +391,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b, "matmul")
     if a.ndim < 2 or b.ndim < 2:
         raise InvalidArgument(f"matmul: operands must be at least 2-D, got {a.ndim}-D and {b.ndim}-D")
+    if a.shape[-1] != b.shape[-2]:
+        raise InvalidArgument(f"matmul: inner dimensions of {a.shape} and {b.shape} differ")
+    if not _broadcasts(a.shape[:-2], b.shape[:-2]):
+        raise InvalidArgument(f"matmul: batch dimensions of {a.shape} and {b.shape} do not broadcast")
 
     def backward(g):
         return np.matmul(g, np.swapaxes(b.data, -1, -2)), np.matmul(np.swapaxes(a.data, -1, -2), g)
@@ -387,10 +406,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, *shape) -> Tensor:
     old = a.shape
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+    try:
+        data = a.data.reshape(shape)
+    except ValueError:  # another element count, or more than one -1 or another negative entry
+        raise InvalidArgument(f"reshape: cannot reshape {old} ({a.data.size} elements) to {shape}") from None
+    return _make(data, (a,), lambda g: (g.reshape(old),))
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
+    if not all(_is_index(ax) and -a.ndim <= ax < a.ndim for ax in (ax1, ax2)):
+        raise InvalidArgument(f"swapaxes: {ax1!r} and {ax2!r} must be integer axes of a {a.ndim}-D input")
     return _make(np.swapaxes(a.data, ax1, ax2).copy(), (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
@@ -416,13 +441,13 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axis, a.ndim)
+    axes = _norm_axes(axis, a.ndim, "tensor_sum")
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,),
                  lambda g: (_expand_reduced(g, a.shape, axes, keepdims),))
 
 
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axis, a.ndim)
+    axes = _norm_axes(axis, a.ndim, "tensor_mean")
     count = 1
     for ax in axes:
         count *= a.shape[ax]
@@ -430,12 +455,13 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
                  lambda g: (_expand_reduced(g, a.shape, axes, keepdims) / count,))
 
 
-def _norm_axes(axis, ndim: int) -> tuple:
+def _norm_axes(axis, ndim: int, op: str) -> tuple:
     if axis is None:
         return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    if not all(_is_index(ax) and -ndim <= ax < ndim for ax in axes):
+        raise InvalidArgument(f"{op}: axis {axis!r} must be an integer axis, or a tuple of them, of a {ndim}-D input")
+    return tuple(ax % ndim for ax in axes)
 
 
 def _expand_reduced(g: np.ndarray, shape: tuple, axes: tuple, keepdims: bool) -> np.ndarray:
@@ -459,16 +485,17 @@ def _horner(z: np.ndarray, coeffs: tuple, acc: np.ndarray) -> None:
     acc += coeffs[-1]
 
 
-def _erf_block(src: np.ndarray, t: np.ndarray, z: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
-    """``t`` = erf(``src``) for one float32 block (``src`` may be ``t``); ``z``, ``num`` and ``den`` are scratch.
+def _erf_block(t: np.ndarray, z: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
+    """``t`` = erf(``t``) in place for float32 ``t``; odd, and exact at 0 and +-inf.
 
-    The scratch arrays hold at least ``t.size`` elements. A block is at most
-    ``_ERF_BLOCK`` elements, so that the ~20 passes of the rational run in
+    ``z``, ``num`` and ``den`` are scratch of at least ``t.size`` elements.
+    Any size gives the same values; ``_gelu`` passes blocks of at most
+    ``_ERF_BLOCK`` elements so that the ~20 passes of the rational run in
     cache rather than in memory.
     """
     n = t.size
     z, num, den = z[:n], num[:n], den[:n]
-    np.clip(src, -_ERF_CLAMP, _ERF_CLAMP, out=t)
+    np.clip(t, -_ERF_CLAMP, _ERF_CLAMP, out=t)
     np.multiply(t, t, out=z)
     _horner(z, _ERF_P, num)
     _horner(z, _ERF_Q, den)
@@ -476,37 +503,31 @@ def _erf_block(src: np.ndarray, t: np.ndarray, z: np.ndarray, num: np.ndarray, d
     np.divide(num, den, out=t)
 
 
-def _erf_scratch(size: int) -> tuple:
-    return tuple(np.empty(min(_ERF_BLOCK, size), np.float32) for _ in range(3))
-
-
-def _erf_f32(x: np.ndarray) -> np.ndarray:
-    """erf of a float32 array in float32; odd, and exact at 0 and +-inf."""
-    flat = x.reshape(-1)
-    out = np.empty_like(flat)
-    scratch = _erf_scratch(flat.size)
-    for start in range(0, flat.size, _ERF_BLOCK):
-        _erf_block(flat[start : start + _ERF_BLOCK], out[start : start + _ERF_BLOCK], *scratch)
-    return out.reshape(x.shape)
-
-
-def _gelu_f32(x: np.ndarray, keep_cdf: bool) -> tuple:
-    """(x * cdf, cdf if ``keep_cdf`` else None) for a float32 ``x``, cdf = 0.5 * (1 + erf(x / sqrt(2))).
+def _gelu(x: np.ndarray, keep_cdf: bool) -> tuple:
+    """(x * cdf, cdf if ``keep_cdf`` else None), cdf = 0.5 * (1 + erf(x / sqrt(2))) in x's dtype.
 
     One loop over blocks of ``_ERF_BLOCK`` elements: each block's CDF is
     multiplied by x while it is still in cache. It goes into a full-size
-    array only when ``keep_cdf``; otherwise one block is reused.
+    array only when ``keep_cdf``; otherwise one block is reused. A float32
+    block's erf is the rational of ``_erf_block``, a float64 block's scipy's.
     """
     flat = x.reshape(-1)
+    size = min(_ERF_BLOCK, flat.size)
     y = np.empty_like(flat)
     cdf = np.empty_like(flat) if keep_cdf else None
-    block = None if keep_cdf else np.empty(min(_ERF_BLOCK, flat.size), np.float32)
-    scratch = _erf_scratch(flat.size)
+    block = None if keep_cdf else np.empty(size, x.dtype)
+    if x.dtype == np.float32:
+        scratch = tuple(np.empty(size, np.float32) for _ in range(3))
+        erf = lambda t: _erf_block(t, *scratch)
+    else:
+        from scipy.special import erf as scipy_erf  # on first use, so importing this module does not load scipy
+
+        erf = lambda t: scipy_erf(t, out=t)
     for start in range(0, flat.size, _ERF_BLOCK):
         src = flat[start : start + _ERF_BLOCK]
         t = cdf[start : start + _ERF_BLOCK] if keep_cdf else block[: src.size]
         np.multiply(src, _INV_SQRT2, out=t)
-        _erf_block(t, t, *scratch)
+        erf(t)
         t += 1.0
         t *= 0.5
         np.multiply(src, t, out=y[start : start + _ERF_BLOCK])
@@ -519,15 +540,7 @@ def gelu(a: Tensor) -> Tensor:
     The normal CDF is kept for the backward only when ``a`` records a graph.
     """
     x = a.data
-    if x.dtype == np.float32:
-        y, cdf = _gelu_f32(x, a.requires_grad)
-    else:
-        from scipy.special import erf  # f64 only, so importing this module does not load scipy
-
-        cdf = erf(x * _INV_SQRT2)
-        cdf += 1.0
-        cdf *= 0.5
-        y = x * cdf
+    y, cdf = _gelu(x, a.requires_grad)
 
     def backward(g):
         d = x * x

@@ -15,7 +15,7 @@ from metaformer.tensor import (
     _ERF_BLOCK,
     _INV_SQRT2,
     _box_sum,
-    _erf_f32,
+    _erf_block,
     InvalidArgument,
     Tensor,
     affine_norm,
@@ -288,6 +288,24 @@ OP_REFUSALS = {
     "complex data to f32": (lambda: Tensor([1 + 2j], dtype="f32"),
                             r"^Tensor: data must be real numbers, got complex128 data$"),
     "string data": (lambda: Tensor(["a"]), r"^Tensor: data must be real numbers, got str32 data$"),
+    "add shapes": (lambda: rnd((2, 3)) + rnd((4,)), r"^add: shapes \(2, 3\) and \(4,\) do not broadcast$"),
+    "sub shapes": (lambda: rnd((2, 3)) - rnd((3, 1)), r"^sub: shapes \(2, 3\) and \(3, 1\) do not broadcast$"),
+    "mul shapes": (lambda: rnd((2, 3)) * np.ones((2, 2)), r"^mul: shapes \(2, 3\) and \(2, 2\) do not broadcast$"),
+    "div shapes": (lambda: rnd((1, 2, 3)) / rnd((4, 1, 2)),
+                   r"^div: shapes \(1, 2, 3\) and \(4, 1, 2\) do not broadcast$"),
+    "matmul inner dims": (lambda: matmul(rnd((2, 3)), rnd((4, 5))),
+                          r"^matmul: inner dimensions of \(2, 3\) and \(4, 5\) differ$"),
+    "matmul batch dims": (lambda: matmul(rnd((2, 3, 4)), rnd((3, 4, 5))),
+                          r"^matmul: batch dimensions of \(2, 3, 4\) and \(3, 4, 5\) do not broadcast$"),
+    "reshape element count": (lambda: rnd((2, 3)).reshape(4, 2),
+                              r"^reshape: cannot reshape \(2, 3\) \(6 elements\) to \(4, 2\)$"),
+    "swapaxes axis past ndim": (lambda: rnd((2, 3)).swapaxes(0, 2),
+                                r"^swapaxes: 0 and 2 must be integer axes of a 2-D input$"),
+    "sum axis past ndim": (lambda: rnd((2, 3)).sum(axis=2),
+                           r"^tensor_sum: axis 2 must be an integer axis, or a tuple of them, of a 2-D input$"),
+    "mean axis below -ndim": (lambda: rnd((2, 3)).mean(axis=(0, -3)),
+                              r"^tensor_mean: axis \(0, -3\) must be an integer axis, or a tuple of them, "
+                              r"of a 2-D input$"),
 }
 
 
@@ -383,6 +401,13 @@ def test_avg_pool_linearity(a, b, seed):
 
 # ------------------------------------------------------------------- gelu
 
+def erf_f32(x):
+    # The rational over the whole array: the block size is a cache choice, not a bound on correctness.
+    t = x.copy()
+    _erf_block(t, *(np.empty_like(t) for _ in range(3)))
+    return t
+
+
 def _ulp_distance(a, b):
     # Same-sign float32 values: ulps are the distance between their bit patterns.
     return np.abs(a.view(np.int32).astype(np.int64) - b.view(np.int32).astype(np.int64))
@@ -396,21 +421,21 @@ def test_f32_erf_within_8_ulp_of_rounded_f64_erf():
     x = np.concatenate([dense, tails, -tails])
     x = x[np.abs(x) >= 1e-30]
     want = erf(x.astype(np.float64)).astype(np.float32)
-    got = _erf_f32(x)
+    got = erf_f32(x)
     assert got.dtype == np.float32
     assert _ulp_distance(got, want).max() <= 8
 
 
 def test_f32_erf_special_values():
     x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
-    got = _erf_f32(x)
+    got = erf_f32(x)
     assert got[0] == 0 and not np.signbit(got[0])
     assert got[1] == 0 and np.signbit(got[1])
     assert got[2] == 1.0 and got[3] == -1.0
     assert np.isnan(got[4])
     # Odd symmetry holds bit for bit.
     y = np.random.default_rng(3).standard_normal(1000).astype(np.float32) * 3
-    np.testing.assert_array_equal(_erf_f32(-y), -_erf_f32(y))
+    np.testing.assert_array_equal(erf_f32(-y), -erf_f32(y))
 
 
 def test_f64_gelu_matches_scipy_bit_for_bit():
@@ -421,14 +446,18 @@ def test_f64_gelu_matches_scipy_bit_for_bit():
     np.testing.assert_array_equal(gelu(Tensor(x, dtype="f64")).data, want)
 
 
-def test_f32_gelu_folds_the_cdf_into_the_erf_loop_bit_for_bit():
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_gelu_folds_the_cdf_into_the_erf_loop_bit_for_bit(dtype):
     # Sizes below, at and across the erf block, plus specials: the folded scale, +1 and x0.5
     # must give the bits of applying them as whole-array passes around erf.
+    from scipy.special import erf
+
+    whole_erf = erf_f32 if dtype == "f32" else erf
     rng = np.random.default_rng(6)
     for n in (1, 7, 32768, 70001):
-        x = (rng.standard_normal(n) * 4).astype(np.float32)
-        x[: min(n, 5)] = np.array([0.0, -0.0, np.inf, -np.inf, 40.0], dtype=np.float32)[: min(n, 5)]
-        cdf = _erf_f32(x * _INV_SQRT2)
+        x = (rng.standard_normal(n) * 4).astype(DTYPE_NP[dtype])
+        x[: min(n, 5)] = np.array([0.0, -0.0, np.inf, -np.inf, 40.0])[: min(n, 5)]
+        cdf = whole_erf(x * _INV_SQRT2)
         cdf += 1.0
         cdf *= 0.5
         for requires_grad in (False, True):
@@ -437,8 +466,11 @@ def test_f32_gelu_folds_the_cdf_into_the_erf_loop_bit_for_bit():
                 assert got.tobytes() == (x * cdf).tobytes(), (n, requires_grad)
 
 
-def test_graph_free_f32_gelu_keeps_no_full_size_cdf():
-    x = np.random.default_rng(8).standard_normal(8 * _ERF_BLOCK + 5).astype(np.float32)
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_graph_free_gelu_keeps_no_full_size_cdf(dtype):
+    import scipy.special  # noqa: F401 - the first f64 gelu imports it, and tracemalloc must not count that
+
+    x = np.random.default_rng(8).standard_normal(8 * _ERF_BLOCK + 5).astype(DTYPE_NP[dtype])
     peaks = {}
     for requires_grad in (False, True):
         a = Tensor(x, requires_grad=requires_grad)
@@ -449,7 +481,7 @@ def test_graph_free_f32_gelu_keeps_no_full_size_cdf():
         finally:
             tracemalloc.stop()
         del y
-    scratch = 4 * _ERF_BLOCK * x.itemsize  # one CDF block and the rational's three
+    scratch = 4 * _ERF_BLOCK * x.itemsize  # one CDF block and, in f32, the rational's three
     assert peaks[False] < x.nbytes + scratch + 16 * 1024, peaks
     assert peaks[True] >= 2 * x.nbytes, peaks  # the backward needs the CDF
 
