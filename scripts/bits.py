@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print sha256 digests of the training and serving bits.
 
-Seven lines, one digest each:
+Eight lines, one digest each:
 
 - the step losses of a 60-step tiny training run;
 - the final parameters of that run, by name, in container order;
@@ -10,8 +10,12 @@ Seven lines, one digest each:
   tiny configs that together use every mixer, norm and activation, in f32
   and in f64, so the backward of every op a model records is covered;
 - the eval logits of the same configs in f64 with ``requires_grad_(False)``,
-  so the graph-free f64 forward (per-sample channel MLP, in-place pooling,
-  GELU without a full-size CDF) is covered too.
+  so the graph-free f64 forward (in-place pooling and activations, GELU
+  without a full-size CDF) is covered too;
+- the graph-free eval logits of those configs widened to 128 stage-1
+  channels at 64², in f32 and in f64, whose stage-1 blocks stream one
+  sample at a time (``block.STREAM_MIN_VALUES``); the 32² lines above
+  fall below that threshold.
 
 Run it on two checkouts and compare the output to see in one command
 whether a change moved any of these bits:
@@ -27,6 +31,7 @@ this is a tool and not a test.
 import hashlib
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,6 +46,7 @@ SEED = 0
 TRAIN_STEPS = 60
 S12_BATCHES = (1, 8)
 HYBRID_BATCH = 4
+STREAM_DIMS, STREAM_SIZE, STREAM_BATCH = (128, 16, 16, 16), 64, 3
 
 
 def digest(chunks) -> str:
@@ -74,12 +80,13 @@ def hybrid_gradients(dtype: str) -> str:
     return digest(chunks)
 
 
-def hybrid_graph_free_f64_logits() -> str:
-    images = np.random.default_rng(SEED).random((HYBRID_BATCH, 3, 32, 32))
+def graph_free_logits(configs, dtypes, batch: int, size: int) -> str:
+    images = np.random.default_rng(SEED).random((batch, 3, size, size))
     chunks = []
-    for config in hybrid_configs():
-        model = build(config, seed=SEED, dtype="f64").requires_grad_(False)
-        chunks.append(model.forward(Tensor(images, dtype="f64"), mode="eval").data.tobytes())
+    for dtype in dtypes:
+        for config in configs:
+            model = build(config, seed=SEED, dtype=dtype).requires_grad_(False)
+            chunks.append(model.forward(Tensor(images, dtype=dtype), mode="eval").data.tobytes())
     return digest(chunks)
 
 
@@ -101,7 +108,11 @@ def main() -> None:
         print(f"S12 loaded, batch {batch} logits  {digest([logits.tobytes()])}")
     for dtype in ("f32", "f64"):
         print(f"hybrid configs, {dtype} train-backward parameter gradients  {hybrid_gradients(dtype)}")
-    print(f"hybrid configs, f64 graph-free eval logits  {hybrid_graph_free_f64_logits()}")
+    f64_logits = graph_free_logits(hybrid_configs(), ("f64",), HYBRID_BATCH, 32)
+    print(f"hybrid configs, f64 graph-free eval logits  {f64_logits}")
+    wide = [replace(config, dims=STREAM_DIMS, input_size=STREAM_SIZE) for config in hybrid_configs()]
+    streamed = graph_free_logits(wide, ("f32", "f64"), STREAM_BATCH, STREAM_SIZE)
+    print(f"wide hybrid configs, f32 and f64 streamed graph-free eval logits  {streamed}")
 
 
 if __name__ == "__main__":

@@ -10,10 +10,10 @@ drops both "+ x"/"+ y" terms; ``use_channel_mlp=False`` skips the second
 sub-block entirely. Each norm and each "x + drop_path(ls * h)" is one graph
 node (``tensor.affine_norm``, ``tensor.residual_add``).
 
-A channel MLP that records no graph (neither its input nor any of its four
-fc tensors requires grad) runs one sample at a time, so that only one
-sample's [1, 4C, H, W] hidden array is alive instead of the batch's; see
-``ChannelMlp``.
+An eval block that records no graph streams a batch of large samples: it
+runs both sub-blocks on one sample at a time into one preallocated output,
+so that only one sample's norm, mixer, hidden and residual arrays are alive
+instead of the batch's; see ``MetaFormerBlock``.
 """
 
 from __future__ import annotations
@@ -32,18 +32,20 @@ if TYPE_CHECKING:
     from .model import ModelConfig
 
 MLP_RATIO = 4
+# Fewest values in one sample ([1, C, H, W]) for which a graph-free eval block streams. Streaming pays
+# Python dispatch per sample: against the whole batch, a graph-free f32 pooling block at batch 8 took
+# 3.0-3.3x as long at 1,024 values a sample, 1.4x at 8,192, 1.1x at 32,768 and 0.9x at 200,704 (two
+# runs, one BLAS thread, 2-core x86_64), while below this size a batch-8 f32 array is under 1 MiB.
+# S12 at 224² streams stages 1-3 (200,704 to 62,720 values a sample), not stage 4 (25,088).
+STREAM_MIN_VALUES = 32768
 
 
 class ChannelMlp(Module):
     """Two 1x1 convolutions with a nonlinearity between them, hidden width 4C.
 
-    A call that records no graph on a batch of two or more runs fc1, the
-    activation and fc2 on one sample at a time and writes each result into
-    one preallocated [B, C, H, W] output. The outputs are bit-identical to
-    the whole-batch call: a 1x1 conv takes ``conv2d``'s direct path, which
-    is already one GEMM per sample, and the activations are elementwise.
-    A call that records a graph runs on the whole batch, so training and
-    its backward are unchanged.
+    When fc1's output records no graph, the activation writes over that
+    fresh array in place (``inplace=True``) instead of making a second
+    hidden-size array; the values are the same.
     """
 
     def __init__(self, channels: int, activation: str, rng: np.random.Generator, dtype="f32"):
@@ -59,15 +61,8 @@ class ChannelMlp(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         act = ACTIVATIONS[self.activation]  # per call, so that a swapped table entry (perfbench's tracer) is used
-        fc1 = (self.fc1_weight, self.fc1_bias)
-        fc2 = (self.fc2_weight, self.fc2_bias)
-        batch = x.shape[0] if x.ndim == 4 else 0
-        if batch < 2 or any(t.requires_grad for t in (x,) + fc1 + fc2):
-            return conv2d(act(conv2d(x, *fc1)), *fc2)
-        out = np.empty((batch, self.fc2_weight.shape[0]) + x.shape[2:], x.dtype)
-        for b in range(batch):
-            out[b] = conv2d(act(conv2d(Tensor(x.data[b : b + 1]), *fc1)), *fc2).data[0]
-        return Tensor(out)
+        h = conv2d(x, self.fc1_weight, self.fc1_bias)
+        return conv2d(act(h, inplace=not h.requires_grad), self.fc2_weight, self.fc2_bias)
 
 
 def _drop_mask(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
@@ -96,7 +91,18 @@ def drop_path(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]
 
 
 class MetaFormerBlock(Module):
-    """Block of stage ``stage`` of ``config``: its width, mixer and switches, and drop path at ``drop_path_rate``."""
+    """Block of stage ``stage`` of ``config``: its width, mixer and switches, and drop path at ``drop_path_rate``.
+
+    An eval call on a batch of two or more streams when nothing in the block
+    records a graph (neither the input nor any of its tensors requires grad)
+    and one sample holds at least ``STREAM_MIN_VALUES`` values: the whole
+    block, both norms, the mixer, the MLP and both residuals, runs on one
+    sample at a time and writes each result into one preallocated output.
+    The outputs are bit-identical to the whole-batch call, since in eval
+    mode every mixer and norm treats each sample on its own, and a 1x1 conv
+    is already one GEMM per sample. Every other call runs on the whole
+    batch, so training and its backward are unchanged.
+    """
 
     def __init__(self, config: ModelConfig, stage: int, drop_path_rate: float, rng: np.random.Generator,
                  n_tokens: int, dtype="f32"):
@@ -122,6 +128,21 @@ class MetaFormerBlock(Module):
         return residual_add(x if self.config.use_residual else None, h, ls, mask)
 
     def __call__(self, x: Tensor, mode: str = "eval", rng: Optional[np.random.Generator] = None) -> Tensor:
+        if not self._streams(x, mode):
+            return self._forward(x, mode, rng)
+        out = np.empty_like(x.data)
+        for b in range(x.shape[0]):
+            out[b] = self._forward(Tensor(x.data[b : b + 1]), mode, rng).data[0]
+        return Tensor(out)
+
+    def _streams(self, x: Tensor, mode: str) -> bool:
+        """Whether this call runs one sample at a time (see the class docstring); cheapest tests first."""
+        if x.ndim != 4 or x.shape[0] < 2 or x.data[0].size < STREAM_MIN_VALUES or is_training(mode):
+            return False
+        return not x.requires_grad and not any(isinstance(t, Tensor) and t.requires_grad
+                                               for _, t in self.named_state())
+
+    def _forward(self, x: Tensor, mode: str, rng: Optional[np.random.Generator]) -> Tensor:
         y = self._residual(x, self.mixer(self.norm1(x, mode)), self.ls1, mode, rng)
         if not self.config.use_channel_mlp:
             return y

@@ -18,11 +18,14 @@ reaches a spent node raises. Leaves are never spent.
 Kernel choices: k x k pooling is a separable box sum (k-1 row-shifted adds,
 then k-1 column-shifted adds); conv2d is im2col into K-major columns
 [groups, Cin/groups*Kh*Kw, B*Hout*Wout] plus one GEMM per group, where a 1x1
-stride-1 unpadded ungrouped input is its own column matrix; GELU evaluates
-its normal CDF one cache-sized block at a time and multiplies each block by x
-while it is in cache, keeping a full-size CDF only for a backward. An f32
-block's erf is a rational approximation in f32, an f64 block's is scipy's,
-imported only when first used.
+stride-1 unpadded ungrouped input is its own column matrix; a padded input's
+zero-padded copy is made inside ``_im2col`` and dies there, and a backward
+pads ``x`` again rather than keep it. GELU evaluates its normal CDF one
+cache-sized block at a time and multiplies each block by x while it is in
+cache, keeping a full-size CDF only for a backward. An f32 block's erf is a
+rational approximation in f32, an f64 block's is scipy's, imported only when
+first used. The activations can write over their input (``inplace=True``)
+when it records no graph.
 
 The MetaFormer frame records one node per step: ``affine_norm`` is a whole
 normalization (moments, normalize, per-channel affine) and ``residual_add``
@@ -405,6 +408,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ------------------------------------------------------------------ shape ops
 
 def reshape(a: Tensor, *shape) -> Tensor:
+    """``a`` in ``shape``, given as integers or, as numpy takes it, as one tuple or list of them."""
+    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
+        shape = tuple(shape[0])
+    if not all(map(_is_index, shape)):
+        raise InvalidArgument(f"reshape: shape {shape!r} must be integers")
     old = a.shape
     try:
         data = a.data.reshape(shape)
@@ -461,7 +469,10 @@ def _norm_axes(axis, ndim: int, op: str) -> tuple:
     axes = axis if isinstance(axis, tuple) else (axis,)
     if not all(_is_index(ax) and -ndim <= ax < ndim for ax in axes):
         raise InvalidArgument(f"{op}: axis {axis!r} must be an integer axis, or a tuple of them, of a {ndim}-D input")
-    return tuple(ax % ndim for ax in axes)
+    axes = tuple(ax % ndim for ax in axes)
+    if len(set(axes)) != len(axes):
+        raise InvalidArgument(f"{op}: axis {axis!r} names an axis of a {ndim}-D input twice")
+    return axes
 
 
 def _expand_reduced(g: np.ndarray, shape: tuple, axes: tuple, keepdims: bool) -> np.ndarray:
@@ -473,8 +484,24 @@ def _expand_reduced(g: np.ndarray, shape: tuple, axes: tuple, keepdims: bool) ->
 
 # ------------------------------------------------------------------ activations
 
-def relu(a: Tensor) -> Tensor:
-    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
+def _inplace_out(a: Tensor, inplace: bool, op: str) -> Optional[np.ndarray]:
+    """The ``out`` of an activation: ``a``'s array when ``inplace``, else None.
+
+    ``inplace=True`` writes the result over ``a``'s array, with the same
+    values as a new one. Pass it only for an array made in the same call; it
+    is refused on an input that records a graph, whose backward reads it.
+    """
+    if not inplace:
+        return None
+    if a.requires_grad:
+        raise InvalidArgument(f"{op}: inplace=True on an input that records a graph")
+    return a.data
+
+
+def relu(a: Tensor, inplace: bool = False) -> Tensor:
+    """max(x, 0); ``inplace`` as in ``_inplace_out``."""
+    y = np.maximum(a.data, 0.0, out=_inplace_out(a, inplace, "relu"))
+    return _make(y, (a,), lambda g: (g * (a.data > 0),))
 
 
 def _horner(z: np.ndarray, coeffs: tuple, acc: np.ndarray) -> None:
@@ -503,17 +530,19 @@ def _erf_block(t: np.ndarray, z: np.ndarray, num: np.ndarray, den: np.ndarray) -
     np.divide(num, den, out=t)
 
 
-def _gelu(x: np.ndarray, keep_cdf: bool) -> tuple:
+def _gelu(x: np.ndarray, keep_cdf: bool, out: Optional[np.ndarray] = None) -> tuple:
     """(x * cdf, cdf if ``keep_cdf`` else None), cdf = 0.5 * (1 + erf(x / sqrt(2))) in x's dtype.
 
     One loop over blocks of ``_ERF_BLOCK`` elements: each block's CDF is
     multiplied by x while it is still in cache. It goes into a full-size
     array only when ``keep_cdf``; otherwise one block is reused. A float32
     block's erf is the rational of ``_erf_block``, a float64 block's scipy's.
+    ``out`` is None or ``x`` itself, whose every block is then overwritten
+    with its product after its CDF has been taken from it.
     """
     flat = x.reshape(-1)
     size = min(_ERF_BLOCK, flat.size)
-    y = np.empty_like(flat)
+    y = np.empty_like(flat) if out is None else out.reshape(-1)
     cdf = np.empty_like(flat) if keep_cdf else None
     block = None if keep_cdf else np.empty(size, x.dtype)
     if x.dtype == np.float32:
@@ -534,13 +563,15 @@ def _gelu(x: np.ndarray, keep_cdf: bool) -> tuple:
     return y.reshape(x.shape), None if cdf is None else cdf.reshape(x.shape)
 
 
-def gelu(a: Tensor) -> Tensor:
+def gelu(a: Tensor, inplace: bool = False) -> Tensor:
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
 
     The normal CDF is kept for the backward only when ``a`` records a graph.
+    ``inplace=True`` writes each block's product over its block of ``a``
+    after taking that block's CDF (see ``_inplace_out``).
     """
     x = a.data
-    y, cdf = _gelu(x, a.requires_grad)
+    y, cdf = _gelu(x, a.requires_grad, _inplace_out(a, inplace, "gelu"))
 
     def backward(g):
         d = x * x
@@ -555,10 +586,12 @@ def gelu(a: Tensor) -> Tensor:
     return _make(y, (a,), backward)
 
 
-def silu(a: Tensor) -> Tensor:
+def silu(a: Tensor, inplace: bool = False) -> Tensor:
+    """x * sigmoid(x); ``inplace`` as in ``_inplace_out``, writing the product over x after sigmoid(x) is made."""
     x = a.data
     sig = 1.0 / (1.0 + np.exp(-x))
-    return _make(x * sig, (a,), lambda g: (g * (sig * (1.0 + x * (1.0 - sig))),))
+    y = np.multiply(x, sig, out=_inplace_out(a, inplace, "silu"))
+    return _make(y, (a,), lambda g: (g * (sig * (1.0 + x * (1.0 - sig))),))
 
 
 ACTIVATIONS = {"gelu": gelu, "relu": relu, "silu": silu}
@@ -750,7 +783,6 @@ def conv2d(
             f"kernel ({kh}, {kw}), stride ({sh}, {sw}), padding ({ph}, {pw})"
         )
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
     w_g = weight.data.reshape(groups, cout // groups, cin_g * kh * kw)
     # 1x1, stride 1, unpadded, ungrouped: x is its own column matrix, so W @ x[b] per sample.
     # Kept beside im2col: without it train-tiny ran slower and infer-s12-b8 peaked 2.9 MiB higher.
@@ -759,7 +791,8 @@ def conv2d(
     if direct:
         y = np.matmul(w_g[0], x.data.reshape(B, cin, H * W))
     else:
-        y = np.matmul(w_g, _im2col(xp, kh, kw, sh, sw, groups)).reshape(cout, B, hout, wout).transpose(1, 0, 2, 3)
+        y = np.matmul(w_g, _im2col(x.data, kh, kw, sh, sw, ph, pw, groups))
+        y = y.reshape(cout, B, hout, wout).transpose(1, 0, 2, 3)
     y = np.ascontiguousarray(y.reshape(B, cout, hout, wout))
     if bias is not None:
         y += bias.data.reshape(1, cout, 1, 1)
@@ -767,13 +800,14 @@ def conv2d(
     def backward(g):
         g_g = g.transpose(1, 0, 2, 3).reshape(groups, cout // groups, B * hout * wout)
         g_x = g_w = None
-        if weight.requires_grad:  # columns rebuilt from xp: holding the forward's copy would grow the graph
-            g_w = np.matmul(g_g, _im2col(xp, kh, kw, sh, sw, groups).swapaxes(1, 2)).reshape(weight.shape)
+        if weight.requires_grad:  # columns rebuilt from x: holding the forward's would grow the graph
+            cols = _im2col(x.data, kh, kw, sh, sw, ph, pw, groups)
+            g_w = np.matmul(g_g, cols.swapaxes(1, 2)).reshape(weight.shape)
         if x.requires_grad and direct:
             g_x = np.matmul(w_g[0].T, g.reshape(B, cout, H * W)).reshape(x.shape)
         elif x.requires_grad:
             gcols = np.matmul(w_g.swapaxes(1, 2), g_g).reshape(cin, kh, kw, B, hout, wout)
-            gp = np.zeros_like(xp)
+            gp = np.zeros((B, cin, H + 2 * ph, W + 2 * pw), x.dtype)
             for i in range(kh):
                 for j in range(kw):
                     gp[:, :, i : i + sh * hout : sh, j : j + sw * wout : sw] += gcols[:, i, j].transpose(1, 0, 2, 3)
@@ -783,9 +817,20 @@ def conv2d(
     return _make(y, parents, backward)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, groups: int) -> np.ndarray:
-    """Padded input [B, Cin, Hp, Wp] as K-major columns [groups, Cin/groups*Kh*Kw, B*Hout*Wout]."""
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int, groups: int) -> np.ndarray:
+    """Input [B, Cin, H, W], zero-padded by (ph, pw), as K-major columns [groups, Cin/groups*Kh*Kw, B*Hout*Wout].
+
+    The padded copy is zeros plus one slice copy: ``np.pad``'s values
+    without its per-call overhead. It is made here so that it dies when this
+    call returns, before the caller's GEMM output exists, unless the columns
+    are a view of it (a 1x1 kernel on one sample).
+    """
+    if ph or pw:
+        B, cin, H, W = x.shape
+        xp = np.zeros((B, cin, H + 2 * ph, W + 2 * pw), x.dtype)
+        xp[:, :, ph : ph + H, pw : pw + W] = x
+        x = xp
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     B, cin, hout, wout = win.shape[:4]
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(groups, cin // groups * kh * kw, B * hout * wout)
 

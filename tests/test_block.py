@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from metaformer import block
-from metaformer.block import MLP_RATIO, ChannelMlp, MetaFormerBlock, drop_path
+from metaformer.block import ChannelMlp, MetaFormerBlock, drop_path
 from metaformer.gradcheck import check_tensor_gradient
-from metaformer.mixers import MixerConfig
+from metaformer.mixers import MIXER_KINDS, MixerConfig
 from metaformer.model import ConfigError, ModelConfig, build
-from metaformer.norms import BatchNorm
+from metaformer.norms import NORM_KINDS, BatchNorm
 from metaformer.tensor import ACTIVATIONS, InvalidArgument, Tensor
 
 
@@ -92,11 +92,11 @@ def test_graph_free_mlp_is_bit_identical_to_the_recording_forward(activation, dt
     assert recorded.requires_grad
     x_before, state_before = x.data.tobytes(), state_bytes(mlp)
     calls = count_conv2d(monkeypatch)
-    free = mlp.requires_grad_(False)(x)
+    free = mlp.requires_grad_(False)(x)  # the activation writes over fc1's output in place
     assert not free.requires_grad and free.dtype == recorded.dtype and free.shape == recorded.shape
     assert free.data.tobytes() == recorded.data.tobytes()
     assert x.data.tobytes() == x_before and state_bytes(mlp) == state_before
-    assert calls == [1] * 2 * batch  # fc1 and fc2 once per sample
+    assert calls == [batch, batch]  # fc1 and fc2 once, on the whole batch: the block is what streams
 
 
 @pytest.mark.parametrize("recording", ["x", "fc1_weight", "fc1_bias", "fc2_weight", "fc2_bias"])
@@ -113,23 +113,96 @@ def test_mlp_with_anything_recording_a_graph_runs_on_the_whole_batch(recording, 
     assert leaf.grad is not None and leaf.grad.shape == leaf.shape
 
 
-def test_graph_free_mlp_streams_so_its_peak_stays_below_one_batch_hidden_array():
-    # Alive at once: the [B,C,H,W] output and one sample's fc1 output, CDF and GELU output,
-    # (B + 3 * 4) * C*H*W values, against 4B * C*H*W for one batch hidden array; the
-    # whole-batch call keeps three of those. Below it for B > 4, so B = 8.
-    batch, channels, grid = 8, 8, (16, 16)
-    mlp, x = mlp_and_input(batch=batch, channels=channels, grid=grid)
-    mlp.requires_grad_(False)
-    mlp(x)  # the first f64 GELU imports scipy's erf
-    hidden_bytes = batch * MLP_RATIO * channels * grid[0] * grid[1] * 8
+# ------------------------------------------------------ graph-free block streaming
+
+# 128 channels on a 16x16 grid: one sample holds exactly block.STREAM_MIN_VALUES values.
+STREAM_CHANNELS, STREAM_GRID = 128, (16, 16)
+
+
+def streaming_block_and_input(kind="pooling", norm="mln", activation="gelu", dtype="f64", batch=3,
+                              channels=STREAM_CHANNELS, seed=0):
+    """A block whose norms, biases, LayerScale and BatchNorm statistics are random, and its input."""
+    rng = rng64(seed)
+    blk = make_block(channels=channels, n_tokens=STREAM_GRID[0] * STREAM_GRID[1], dtype=dtype, seed=seed,
+                     mixer=MixerConfig(kind=kind), norm=norm, activation=activation)
+    for name, leaf in blk.named_state():
+        arr = leaf.data if isinstance(leaf, Tensor) else leaf
+        if arr.ndim == 1:  # gamma, beta, biases, LayerScale, running mean and variance
+            arr[:] = rng.uniform(0.5, 1.5, arr.shape)
+    x = Tensor(rng.standard_normal((batch, channels) + STREAM_GRID), dtype=dtype)
+    return blk, x
+
+
+def count_block_calls(blk, monkeypatch):
+    """Batch sizes seen by the block's mixer and by its MLP from now on, as (mixer, mlp) lists."""
+    seen = ([], [])
+    for calls, cls in zip(seen, (type(blk.mixer), ChannelMlp)):
+        real = cls.__call__
+
+        def counting(self, x, *args, _real=real, _calls=calls):
+            _calls.append(x.shape[0])
+            return _real(self, x, *args)
+
+        monkeypatch.setattr(cls, "__call__", counting)
+    return seen
+
+
+# Every mixer with every norm; the activations take turns so that each meets every mixer and every norm.
+STREAM_COMBOS = [(kind, norm, tuple(ACTIVATIONS)[(i + j) % len(ACTIVATIONS)])
+                 for i, kind in enumerate(MIXER_KINDS) for j, norm in enumerate(NORM_KINDS)]
+
+
+@pytest.mark.parametrize("kind,norm,activation", STREAM_COMBOS)
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_graph_free_block_streams_bit_identical_to_the_recording_forward(kind, norm, activation, dtype, batch,
+                                                                         monkeypatch):
+    blk, x = streaming_block_and_input(kind, norm, activation, dtype, batch)
+    assert x.data[0].size == block.STREAM_MIN_VALUES
+    recorded = blk(x)
+    assert recorded.requires_grad
+    x_before, state_before = x.data.tobytes(), state_bytes(blk)
+    mixer_calls, mlp_calls = count_block_calls(blk, monkeypatch)
+    free = blk.requires_grad_(False)(x)
+    assert not free.requires_grad and free.dtype == recorded.dtype and free.shape == recorded.shape
+    assert free.data.tobytes() == recorded.data.tobytes()
+    assert x.data.tobytes() == x_before and state_bytes(blk) == state_before
+    assert mixer_calls == mlp_calls == [1] * batch  # the whole block, once per sample
+
+
+def test_small_samples_train_mode_and_recording_calls_run_the_block_on_the_whole_batch(monkeypatch):
+    small, x_small = streaming_block_and_input(channels=STREAM_CHANNELS - 1)
+    small.requires_grad_(False)
+    blk, x = streaming_block_and_input()
+    blk.requires_grad_(False)
+    mixer_calls, mlp_calls = count_block_calls(blk, monkeypatch)
+    small(x_small)  # one value below the threshold
+    blk(x, "train", rng64(1))  # graph-free, but train mode
+    blk.ls2.requires_grad = True
+    blk(x)  # one tensor records a graph
+    blk.ls2.requires_grad = False
+    x.requires_grad = True
+    blk(x)  # the input records a graph
+    assert mixer_calls == mlp_calls == [3] * 4
+
+
+def test_graph_free_block_streams_so_its_peak_stays_below_two_and_a_half_batch_arrays():
+    # The S12 block (pooling, MLN, GELU) in f32 at batch 8. Streaming keeps the [B, C, H, W] output and
+    # one sample's arrays: its norm, pooled and residual arrays, its 4C hidden array (activated in place)
+    # and the f32 erf's four 32,768-value blocks, about 10 sample arrays or 1.3 batch arrays here. The
+    # whole-batch block keeps at least four batch arrays alive at once (input of the MLP's norm, its
+    # output, the MLP output and the residual).
+    blk, x = streaming_block_and_input(dtype="f32", batch=8)
+    blk.requires_grad_(False)
+    blk(x)
     tracemalloc.start()
     try:
-        y = mlp(x)
+        y = blk(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert y.shape == x.shape
-    assert peak < hidden_bytes, (peak, hidden_bytes)
+    assert peak < 2.5 * x.data.nbytes, (peak, x.data.nbytes)
 
 
 # ---------------------------------------------------------------- drop path

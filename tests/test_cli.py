@@ -204,8 +204,8 @@ def test_gradcheck_config_whose_input_numpy_cannot_size_exits_1_with_one_line(tm
 
 
 def test_gradcheck_detects_corrupted_backward(tmp_path, capsys, monkeypatch):
-    def gelu_with_wrong_backward(a):
-        out = gelu(a)
+    def gelu_with_wrong_backward(a, inplace=False):  # the ACTIVATIONS signature: the graph-free MLP passes inplace
+        out = gelu(a, inplace=inplace)
         orig = out._backward_fn
         if orig is not None:
             out._backward_fn = lambda g: orig(g * 1.5)

@@ -204,6 +204,25 @@ def test_conv2d_builds_columns_only_where_it_reads_them(monkeypatch, kw, recordi
         assert w.grad is not None
 
 
+def test_a_padded_conv2d_that_records_a_graph_keeps_no_padded_copy():
+    # The backward re-pads x, so after the forward the graph holds the output and small objects,
+    # not the padded input. The copy (here 34x34 of the 32x32 grid, 1.13x x) would more than double
+    # what the forward leaves alive.
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((2, 16, 32, 32)), requires_grad=True)
+    w = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+    padded_bytes = 2 * 16 * 34 * 34 * 8
+    tracemalloc.start()
+    try:
+        y = conv2d(x, w, padding=(1, 1))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < y.data.nbytes + padded_bytes // 4, (kept, y.data.nbytes, padded_bytes)
+    y.sum().backward()  # the re-pad's gradients are checked by the finite-difference tests above
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
 # ------------------------------------------------------------- avg pooling
 
 def test_avg_pool_constant_input_stays_constant():
@@ -306,6 +325,11 @@ OP_REFUSALS = {
     "mean axis below -ndim": (lambda: rnd((2, 3)).mean(axis=(0, -3)),
                               r"^tensor_mean: axis \(0, -3\) must be an integer axis, or a tuple of them, "
                               r"of a 2-D input$"),
+    "reshape float entry": (lambda: rnd((2, 3)).reshape(2.5, 2), r"^reshape: shape \(2\.5, 2\) must be integers$"),
+    "sum axis twice": (lambda: rnd((2, 3)).sum(axis=(0, 0)),
+                       r"^tensor_sum: axis \(0, 0\) names an axis of a 2-D input twice$"),
+    "mean axis twice": (lambda: rnd((2, 3)).mean(axis=(1, -1)),
+                        r"^tensor_mean: axis \(1, -1\) names an axis of a 2-D input twice$"),
 }
 
 
@@ -329,6 +353,17 @@ def test_integer_and_bool_data_become_f64():
     for data, values in ((np.arange(3), [0.0, 1.0, 2.0]), ([True, False], [1.0, 0.0])):
         t = Tensor(data)
         assert t.dtype == np.float64 and t.data.tolist() == values
+
+
+def test_reshape_takes_a_shape_as_integers_or_as_one_tuple_or_list():
+    x = rnd((2, 3), seed=4)
+    x.requires_grad = True
+    want = x.reshape(3, 2).data
+    for shape in ((3, 2), [3, 2], (np.int64(3), -1)):
+        y = x.reshape(shape)
+        assert y.data.tobytes() == want.tobytes() and y.shape == (3, 2)
+        y.sum().backward()
+    assert x.grad.shape == (2, 3)
 
 
 def test_conv2d_takes_numpy_integer_geometry():
@@ -484,6 +519,29 @@ def test_graph_free_gelu_keeps_no_full_size_cdf(dtype):
     scratch = 4 * _ERF_BLOCK * x.itemsize  # one CDF block and, in f32, the rational's three
     assert peaks[False] < x.nbytes + scratch + 16 * 1024, peaks
     assert peaks[True] >= 2 * x.nbytes, peaks  # the backward needs the CDF
+
+
+@pytest.mark.parametrize("act", [gelu, relu, silu])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_inplace_activation_writes_the_default_bits_over_its_input(act, dtype):
+    # Sizes below and across the erf block; the in-place GELU reads each block before it writes it.
+    for n in (7, 3 * _ERF_BLOCK + 5):
+        x = (np.random.default_rng(9).standard_normal((1, n)) * 4).astype(DTYPE_NP[dtype])
+        want = act(Tensor(x.copy())).data
+        a = Tensor(x.copy())
+        got = act(a, inplace=True)
+        assert not got.requires_grad and np.shares_memory(got.data, a.data)
+        assert got.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("act", [gelu, relu, silu])
+def test_inplace_activation_is_refused_on_an_input_that_records_a_graph(act):
+    a = rnd((2, 3), seed=3)
+    a.requires_grad = True
+    before = a.data.copy()
+    with pytest.raises(InvalidArgument, match=f"^{act.__name__}: inplace=True on an input that records a graph$"):
+        act(a, inplace=True)
+    assert a.data.tobytes() == before.tobytes()
 
 
 def test_f32_gelu_error_is_bounded_by_the_erf_error():
