@@ -10,8 +10,8 @@ Eight lines, one digest each:
   tiny configs that together use every mixer, norm and activation, in f32
   and in f64, so the backward of every op a model records is covered;
 - the eval logits of the same configs in f64 with ``requires_grad_(False)``,
-  so the graph-free f64 forward (in-place pooling and activations, GELU
-  without a full-size CDF) is covered too;
+  so the graph-free f64 forward (in-place activations, GELU without a
+  full-size CDF) is covered too;
 - the graph-free eval logits of those configs widened to 128 stage-1
   channels at 64², in f32 and in f64, whose stage-1 blocks stream one
   sample at a time (``block.STREAM_MIN_VALUES``); the 32² lines above
@@ -23,15 +23,19 @@ whether a change moved any of these bits:
     PYTHONPATH=src python scripts/bits.py > after.txt
     (cd ../parent && PYTHONPATH=src python scripts/bits.py) | diff - after.txt
 
-The bits depend on the numpy/BLAS build and its thread count, so compare
-runs made on the same machine with the same settings. That is also why
-this is a tool and not a test.
+The bits depend on the numpy/BLAS build and its thread count. The script
+runs BLAS on one thread whatever the caller's environment says, so compare
+runs made on the same machine. That is also why this is a tool and not a
+test.
 """
 
 import hashlib
 import os
 import tempfile
 from dataclasses import replace
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # read when numpy loads BLAS
+    os.environ[_var] = "1"
 
 import numpy as np
 

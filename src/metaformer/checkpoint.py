@@ -36,7 +36,7 @@ import numpy as np
 
 from .analysis import count_params
 from .model import ConfigError, Model, ModelConfig
-from .tensor import InvalidArgument, _keep_freed_heap
+from .tensor import InvalidArgument, _is_index, _keep_freed_heap
 
 MAGIC = b"MFCK"
 VERSION = 1
@@ -95,18 +95,14 @@ def _write_container(path: str, entries: Dict[str, tuple], config: Optional[dict
         raise OSError(f"cannot write container to {path!r}: {e}") from e
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _entry_fields(entry, index: int, path: str) -> tuple:
     """(name, shape, offset, byte_len) of one manifest entry, each checked for type."""
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
         raise CheckpointCorruptionError(f"{path!r}: manifest entry {index} is not an object with a string name")
     name, shape = entry["name"], entry.get("shape")
-    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+    if not isinstance(shape, list) or not all(_is_index(d) and d >= 0 for d in shape):
         raise CheckpointCorruptionError(f"{path!r}: tensor {name!r} has malformed shape {shape!r}")
-    if not _is_count(entry.get("offset")) or not _is_count(entry.get("byte_len")):
+    if not all(_is_index(v) and v >= 0 for v in (entry.get("offset"), entry.get("byte_len"))):
         raise CheckpointCorruptionError(f"{path!r}: tensor {name!r} lacks a valid offset and byte_len")
     return name, tuple(shape), entry["offset"], entry["byte_len"]
 

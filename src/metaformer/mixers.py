@@ -134,9 +134,7 @@ class PoolingMixer(Mixer):
     """Average of each token's neighborhood minus the token itself.
 
     The subtraction cancels the block's own residual connection, so the
-    branch contributes pure neighborhood differences. No parameters. When the
-    pooled result records no graph, ``x`` is subtracted in place in that new
-    array, so the mixer makes one full-size array instead of two.
+    branch contributes pure neighborhood differences. No parameters.
     """
 
     kind = "pooling"
@@ -147,11 +145,7 @@ class PoolingMixer(Mixer):
         self.pool_size = cfg.pool_size
 
     def __call__(self, x: Tensor) -> Tensor:
-        pooled = avg_pool2d_excl(x, self.pool_size)
-        if pooled.requires_grad:
-            return pooled - x
-        np.subtract(pooled.data, x.data, out=pooled.data)
-        return pooled
+        return avg_pool2d_excl(x, self.pool_size) - x
 
     @staticmethod
     def macs(cfg, c, n):
@@ -171,8 +165,8 @@ class RandomMatrixMixer(Mixer):
 
     The matrix is drawn uniform [0, 1), row-softmaxed, renormalized so each
     row sums to 1 in f64, then frozen: it is excluded from the optimizer but
-    persisted in checkpoints. Without an rng the matrix is zeros, to be filled
-    from a checkpoint.
+    persisted in checkpoints. Without an rng the matrix is f32 zeros, as
+    ``init.trunc_normal(None, ...)`` gives, to be filled from a checkpoint.
     """
 
     kind = "random_matrix"
@@ -182,7 +176,7 @@ class RandomMatrixMixer(Mixer):
         if n_tokens < 1:
             raise InvalidArgument(f"random-matrix mixer: token count must be >= 1, got {n_tokens}")
         if rng is None:
-            w = np.zeros((n_tokens, n_tokens))
+            w = np.zeros((n_tokens, n_tokens), np.float32)
         else:
             raw = rng.random((n_tokens, n_tokens), dtype=np.float64)
             e = np.exp(raw - raw.max(axis=1, keepdims=True))

@@ -41,7 +41,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,24 +66,29 @@ _ERF_Q = (3.8091755e-05, 0.0011625424, 0.014969269, 0.11410935, 0.50207657, 1.0)
 _ERF_BLOCK = 32768
 
 
-def _as_dtype(dtype: str) -> np.dtype:
-    if dtype not in DTYPES:
-        raise InvalidArgument(f"unsupported dtype {dtype!r}, expected 'f32' or 'f64'")
-    return np.dtype(DTYPES[dtype])
+def _as_float(data, dtype: Optional[np.dtype], op: str) -> np.ndarray:
+    """The one float cast: ``data``, a rectangular array of real numbers, as ``dtype``, or for None as f32/f64.
 
-
-def _narrow(arr: np.ndarray, target: np.dtype) -> np.ndarray:
-    """``arr`` cast to the narrower float dtype ``target``; a finite value that would become infinite is refused.
-
-    Infinities and NaNs keep their values, and values too small for ``target`` round to its subnormals or zero.
+    A narrowing cast refuses a finite value that would become infinite; infinities and NaNs keep their values,
+    and values too small round to subnormals or zero. An array already of ``dtype`` is not copied.
     """
     try:
+        arr = np.asarray(data)
+    except ValueError:  # nested sequences of unequal lengths
+        raise InvalidArgument(f"{op}: data is not a rectangular array") from None
+    if arr.dtype.kind not in "biuf":
+        raise InvalidArgument(f"{op}: data must be real numbers, got {arr.dtype.name} data")
+    if dtype is None:
+        return arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
+    if arr.dtype.kind != "f" or arr.dtype.itemsize <= dtype.itemsize:
+        return arr.astype(dtype, copy=False)
+    try:
         with np.errstate(over="raise", under="ignore"):
-            return arr.astype(target)
+            return arr.astype(dtype)
     except FloatingPointError:
         with np.errstate(over="ignore", under="ignore"):
-            first = arr[np.isinf(arr.astype(target)) & np.isfinite(arr)].flat[0]
-        raise InvalidArgument(f"Tensor: {arr.dtype.name} value {float(first)!r} overflows {target.name} "
+            first = arr[np.isinf(arr.astype(dtype)) & np.isfinite(arr)].flat[0]
+        raise InvalidArgument(f"{op}: {arr.dtype.name} value {float(first)!r} overflows {dtype.name} "
                               "to infinity") from None
 
 
@@ -136,18 +141,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "trainable", "grad", "_parents", "_backward_fn", "_grad_out")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data)
-        if arr.dtype.kind not in "biuf":
-            raise InvalidArgument(f"Tensor: data must be real numbers, got {arr.dtype.name} data")
-        if dtype is not None:
-            target = _as_dtype(dtype)
-            if arr.dtype.kind == "f" and arr.dtype.itemsize > target.itemsize:
-                arr = _narrow(arr, target)
-            else:
-                arr = arr.astype(target, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data: np.ndarray = arr
+        if dtype is not None and not (isinstance(dtype, str) and dtype in DTYPES):
+            raise InvalidArgument(f"Tensor: unsupported dtype {dtype!r}, expected 'f32' or 'f64'")
+        self.data: np.ndarray = _as_float(data, None if dtype is None else np.dtype(DTYPES[dtype]), "Tensor")
         self.requires_grad = self.trainable = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._parents: Optional[tuple] = ()  # None once a backward has consumed this node
@@ -317,20 +313,17 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     return node
 
 
-def _wrap(x: Union[Tensor, float, int, np.ndarray], dtype: np.dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _is_index(value) -> bool:
     """A geometry argument of an op: a Python or numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
+def _check_same_dtype(a: Tensor, b, op: str, name: str = "operand") -> None:
+    """The one operand rule: ``b``, the argument ``name`` of ``op``, is a Tensor of ``a``'s dtype."""
+    if not isinstance(b, Tensor):
+        raise InvalidArgument(f"{op}: {name} must be a Tensor, got a {type(b).__name__}")
     if a.dtype != b.dtype:
-        raise InvalidArgument(f"{op}: dtype mismatch {a.dtype.name} vs {b.dtype.name}")
+        raise InvalidArgument(f"{op}: {name} dtype {b.dtype.name} does not match {a.dtype.name}")
 
 
 def _broadcasts(a: tuple, b: tuple) -> bool:
@@ -345,7 +338,7 @@ def _broadcasts(a: tuple, b: tuple) -> bool:
 
 def _operand(a: Tensor, b, op: str) -> Tensor:
     """``b`` of a binary elementwise op as a tensor of ``a``'s dtype whose shape broadcasts with ``a``'s."""
-    b = _wrap(b, a.dtype)
+    b = b if isinstance(b, Tensor) else Tensor(_as_float(b, a.dtype, op))
     _check_same_dtype(a, b, op)
     if not _broadcasts(a.shape, b.shape):
         raise InvalidArgument(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
@@ -391,7 +384,7 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b, "matmul")
+    _check_same_dtype(a, b, "matmul", "b")
     if a.ndim < 2 or b.ndim < 2:
         raise InvalidArgument(f"matmul: operands must be at least 2-D, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[-1] != b.shape[-2]:
@@ -422,23 +415,20 @@ def reshape(a: Tensor, *shape) -> Tensor:
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    if not all(_is_index(ax) and -a.ndim <= ax < a.ndim for ax in (ax1, ax2)):
-        raise InvalidArgument(f"swapaxes: {ax1!r} and {ax2!r} must be integer axes of a {a.ndim}-D input")
+    """``a`` with axes ``ax1`` and ``ax2`` exchanged; as in numpy, they may be the same axis."""
+    (ax1,), (ax2,) = (_norm_axes((ax,), a.ndim, "swapaxes") for ax in (ax1, ax2))
     return _make(np.swapaxes(a.data, ax1, ax2).copy(), (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` elements along ``axis``."""
-    if not all(map(_is_index, (axis, start, length))):
-        raise InvalidArgument(f"narrow: axis, start and length must be integers, got {axis!r}, {start!r}, {length!r}")
-    if not -a.ndim <= axis < a.ndim:
-        raise InvalidArgument(f"narrow: axis {axis} out of range for a {a.ndim}-D input")
+    (axis,) = _norm_axes((axis,), a.ndim, "narrow")
+    if not (_is_index(start) and _is_index(length)):
+        raise InvalidArgument(f"narrow: start and length must be integers, got {start!r}, {length!r}")
     n = a.shape[axis]
     if start < 0 or length < 1 or start + length > n:
         raise InvalidArgument(f"narrow: slice [{start}, {start + length}) out of range for axis {axis} of size {n}")
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
+    index = (slice(None),) * axis + (slice(start, start + length),)
 
     def backward(g):
         full = np.zeros_like(a.data)
@@ -449,27 +439,32 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axis, a.ndim, "tensor_sum")
+    axes = _norm_axes(axis, a.ndim, "tensor_sum", keepdims)
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,),
                  lambda g: (_expand_reduced(g, a.shape, axes, keepdims),))
 
 
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axis, a.ndim, "tensor_mean")
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
+    axes = _norm_axes(axis, a.ndim, "tensor_mean", keepdims)
+    count = math.prod(a.shape[ax] for ax in axes)
     return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,),
                  lambda g: (_expand_reduced(g, a.shape, axes, keepdims) / count,))
 
 
-def _norm_axes(axis, ndim: int, op: str) -> tuple:
+def _norm_axes(axis, ndim: int, op: str, keepdims: bool = False) -> tuple:
+    """The one axis rule: None (all), or an integer or tuple of distinct integers in [-ndim, ndim), made >= 0.
+
+    A reduction passes its ``keepdims`` too, which must be a bool.
+    """
+    if not isinstance(keepdims, bool):
+        raise InvalidArgument(f"{op}: keepdims must be a bool, got {keepdims!r}")
     if axis is None:
         return tuple(range(ndim))
     axes = axis if isinstance(axis, tuple) else (axis,)
-    if not all(_is_index(ax) and -ndim <= ax < ndim for ax in axes):
-        raise InvalidArgument(f"{op}: axis {axis!r} must be an integer axis, or a tuple of them, of a {ndim}-D input")
-    axes = tuple(ax % ndim for ax in axes)
+    for ax in axes:
+        if not (_is_index(ax) and -ndim <= ax < ndim):
+            raise InvalidArgument(f"{op}: axis {ax!r} is not an integer axis of a {ndim}-D input")
+    axes = tuple(int(ax) % ndim for ax in axes)
     if len(set(axes)) != len(axes):
         raise InvalidArgument(f"{op}: axis {axis!r} names an axis of a {ndim}-D input twice")
     return axes
@@ -597,9 +592,17 @@ def silu(a: Tensor, inplace: bool = False) -> Tensor:
 ACTIVATIONS = {"gelu": gelu, "relu": relu, "silu": silu}
 
 
+def _shifted(a: Tensor, op: str) -> np.ndarray:
+    """``a`` minus its maximum over the last axis, which must be non-empty."""
+    _norm_axes(-1, a.ndim, op)
+    if a.shape[-1] == 0:
+        raise InvalidArgument(f"{op}: the last axis of shape {a.shape} is empty")
+    return a.data - a.data.max(axis=-1, keepdims=True)
+
+
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Row-stochastic softmax over the last axis, stabilized by max-subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    shifted = _shifted(a, "softmax_lastdim")
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
 
@@ -611,7 +614,7 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 
 
 def log_softmax_lastdim(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    shifted = _shifted(a, "log_softmax_lastdim")
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     soft = np.exp(shifted - lse)
     return _make(shifted - lse, (a,), lambda g: (g - soft * g.sum(axis=-1, keepdims=True),))
@@ -621,6 +624,13 @@ def log_softmax_lastdim(a: Tensor) -> Tensor:
 
 def _channel_shape(channels: int, ndim: int) -> tuple:
     return (1, channels) + (1,) * (ndim - 2)
+
+
+def _per_channel(v, of: Tensor, axis: int, op: str, name: str) -> None:
+    """The one per-channel rule: ``v`` is a Tensor of ``of``'s dtype and shape (C,), C the size of ``of``'s ``axis``."""
+    _check_same_dtype(of, v, op, name)
+    if of.ndim <= axis or v.shape != (of.shape[axis],):
+        raise InvalidArgument(f"{op}: {name} shape {v.shape} is not (C,), C = {of.shape}[{axis}]")
 
 
 def affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, moments=None) -> tuple:
@@ -636,13 +646,9 @@ def affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, moment
     the centring, as the chain adds them; with fixed moments they are
     (x, gamma, beta).
     """
-    _check_same_dtype(x, gamma, "affine_norm")
-    _check_same_dtype(x, beta, "affine_norm")
-    if x.ndim < 2 or gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
-        raise InvalidArgument(f"affine_norm: gamma {gamma.shape} and beta {beta.shape} must be (C,) "
-                              f"for x of shape {x.shape}")
-    if not all(_is_index(ax) and -x.ndim <= ax < x.ndim for ax in (axes if isinstance(axes, tuple) else (axes,))):
-        raise InvalidArgument(f"affine_norm: axes {axes!r} out of range for a {x.ndim}-D input")
+    _per_channel(gamma, x, 1, "affine_norm", "gamma")
+    _per_channel(beta, x, 1, "affine_norm", "beta")
+    count = math.prod(x.shape[ax] for ax in _norm_axes(axes, x.ndim, "affine_norm"))  # elements per moment
     xd = x.data
     affine = _channel_shape(gamma.shape[0], xd.ndim)
     g_r, b_r = gamma.data.reshape(affine), beta.data.reshape(affine)
@@ -653,11 +659,10 @@ def affine_norm(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, moment
     else:
         mu, var = (m.copy() for m in moments)  # the backward must not see later buffer updates
         d = xd - mu
-    root = np.sqrt(var + np.asarray(eps, xd.dtype))
+    root = np.sqrt(var + _as_float(eps, xd.dtype, "affine_norm"))
     d /= root
     d *= g_r
     d += b_r
-    count = xd.size // mu.size  # elements per moment
     parents = (x, gamma, beta) if moments is not None else (x, gamma, beta, x)
 
     def backward(g):
@@ -688,30 +693,29 @@ def residual_add(x: Optional[Tensor], h: Tensor, scale: Optional[Tensor] = None,
     """x + (h * scale) * mask as one node with parents (x, h, scale), less the ``None`` ones; x has h's shape.
 
     ``scale`` is per channel (axis 1, LayerScale) and ``mask`` a constant
-    array broadcast against h (drop path); a ``None`` term is left out, and
+    array that broadcasts to h's shape (drop path), cast to h's dtype as a
+    binary op's operand is; a ``None`` term is left out, and
     with all three ``None`` the result is ``h`` itself. Forward and backward
     run the numpy operations of the chain mul, mul, add in that chain's order.
     """
     if x is None and scale is None and mask is None:
         return h
     if x is not None:
-        _check_same_dtype(x, h, "residual_add")
+        _check_same_dtype(h, x, "residual_add", "x")
         if x.shape != h.shape:
             raise InvalidArgument(f"residual_add: x shape {x.shape} does not match h shape {h.shape}")
     out = h.data
     if scale is not None:
-        _check_same_dtype(h, scale, "residual_add")
-        if h.ndim < 2 or scale.shape != (h.shape[1],):
-            raise InvalidArgument(f"residual_add: scale shape {scale.shape} is not (C,) for h of shape {h.shape}")
+        _per_channel(scale, h, 1, "residual_add", "scale")
         s_r = scale.data.reshape(_channel_shape(scale.shape[0], h.ndim))
         out = out * s_r
     if mask is not None:
-        m_shape = np.shape(mask)
-        if len(m_shape) > h.ndim or any(m not in (1, n) for m, n in zip(m_shape[::-1], h.shape[::-1])):
-            raise InvalidArgument(f"residual_add: mask shape {m_shape} does not broadcast to h shape {h.shape}")
+        mask = _as_float(mask, h.dtype, "residual_add")
+        if mask.ndim > h.ndim or any(m not in (1, n) for m, n in zip(mask.shape[::-1], h.shape[::-1])):
+            raise InvalidArgument(f"residual_add: mask shape {mask.shape} does not broadcast to h shape {h.shape}")
         out = np.multiply(out, mask, out=None if out is h.data else out)
     if x is not None:
-        out = np.add(x.data, out, out=None if out is h.data else out)
+        out = np.add(x.data, out, out=None if out is h.data or not out.ndim else out)  # 0-D: a numpy scalar
 
     def backward(g):
         g_x = () if x is None else (g,)
@@ -747,34 +751,22 @@ def conv2d(
         raise InvalidArgument(f"conv2d: input must be 4-D [B,C,H,W], got shape {x.shape}")
     if weight.ndim != 4:
         raise InvalidArgument(f"conv2d: weight must be 4-D [Cout,Cin/groups,Kh,Kw], got shape {weight.shape}")
-    _check_same_dtype(x, weight, "conv2d")
-    for name, pair in (("stride", stride), ("padding", padding)):
-        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_index, pair))):
-            raise InvalidArgument(f"conv2d: {name} must be a pair of integers, got {pair!r}")
-    if not _is_index(groups):
-        raise InvalidArgument(f"conv2d: groups must be an integer, got {groups!r}")
+    _check_same_dtype(x, weight, "conv2d", "weight")
+    for name, pair, low in (("stride", stride, 1), ("padding", padding, 0)):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(_is_index(v) and v >= low for v in pair)):
+            raise InvalidArgument(f"conv2d: {name} must be a pair of integers >= {low}, got {pair!r}")
     B, cin, H, W = x.shape
     cout, cin_g, kh, kw = weight.shape
+    if not (_is_index(groups) and groups >= 1 and cin % groups == 0 and cout % groups == 0):
+        raise InvalidArgument(f"conv2d: groups must be an integer dividing {cin} in and {cout} out channels, "
+                              f"got {groups!r}")
     if kh < 1 or kw < 1:
         raise InvalidArgument(f"conv2d: kernel dims must be >= 1, got ({kh}, {kw})")
-    if groups < 1 or cin % groups != 0:
-        raise InvalidArgument(f"conv2d: input channels {cin} not divisible by groups {groups}")
-    if cout % groups != 0:
-        raise InvalidArgument(f"conv2d: output channels {cout} not divisible by groups {groups}")
     if cin // groups != cin_g:
-        raise InvalidArgument(
-            f"conv2d: weight expects {cin_g} input channels per group, input has {cin // groups}"
-        )
-    if bias is not None and bias.shape != (cout,):
-        raise InvalidArgument(f"conv2d: bias shape {bias.shape} does not match output channels {cout}")
-    if bias is not None and bias.dtype != x.dtype:
-        raise InvalidArgument(f"conv2d: bias dtype {bias.dtype.name} does not match input dtype {x.dtype.name}")
-    sh, sw = stride
-    ph, pw = padding
-    if sh < 1 or sw < 1:
-        raise InvalidArgument(f"conv2d: stride must be >= 1, got ({sh}, {sw})")
-    if ph < 0 or pw < 0:
-        raise InvalidArgument(f"conv2d: padding must be >= 0, got ({ph}, {pw})")
+        raise InvalidArgument(f"conv2d: weight expects {cin_g} input channels per group, input has {cin // groups}")
+    if bias is not None:
+        _per_channel(bias, weight, 0, "conv2d", "bias")
+    (sh, sw), (ph, pw) = stride, padding
     hout = conv_out_size(H, kh, sh, ph)
     wout = conv_out_size(W, kw, sw, pw)
     if hout < 1 or wout < 1:

@@ -58,7 +58,7 @@ def test_pooling_bruteforce_equivalence_on_random_inputs(k):
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_graph_free_pooling_subtracts_in_place_with_the_bits_of_pool_minus_x(k):
+def test_pooling_gives_the_bits_of_pool_minus_x_in_a_new_array_with_or_without_a_graph(k):
     x = Tensor(np.random.default_rng(k).standard_normal((2, 3, 7, 6)), dtype="f32")
     before = x.data.copy()
     got = mixer_of("pooling", pool_size=k)(x)

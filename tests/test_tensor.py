@@ -254,53 +254,53 @@ OP_REFUSALS = {
     "conv2d zero kernel": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 0, 3))),
                            r"conv2d: kernel dims must be >= 1, got \(0, 3\)"),
     "conv2d cout % groups": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((5, 2, 3, 3)), groups=2),
-                             r"conv2d: output channels 5 not divisible by groups 2"),
+                             r"conv2d: groups must be an integer dividing 4 in and 5 out channels, got 2"),
     "conv2d stride 0": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), stride=(0, 1)),
-                        r"conv2d: stride must be >= 1, got \(0, 1\)"),
+                        r"conv2d: stride must be a pair of integers >= 1, got \(0, 1\)"),
     "conv2d negative padding": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), padding=(-1, 0)),
-                                r"conv2d: padding must be >= 0, got \(-1, 0\)"),
+                                r"conv2d: padding must be a pair of integers >= 0, got \(-1, 0\)"),
     "conv2d f64 bias": (lambda: conv2d(rnd((1, 4, 5, 5), dtype="f32"), rnd((6, 4, 3, 3), dtype="f32"), rnd((6,))),
-                        r"conv2d: bias dtype float64 does not match input dtype float32"),
+                        r"conv2d: bias dtype float64 does not match float32"),
     "avg_pool2d_excl 3-D input": (lambda: avg_pool2d_excl(rnd((2, 5, 5)), 3), r"avg_pool2d_excl: input must be 4-D"),
     "conv2d float stride": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), stride=(1.5, 1)),
-                            r"conv2d: stride must be a pair of integers, got \(1\.5, 1\)"),
+                            r"conv2d: stride must be a pair of integers >= 1, got \(1\.5, 1\)"),
     "conv2d bool stride": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), stride=(True, 1)),
-                           r"conv2d: stride must be a pair of integers, got \(True, 1\)"),
+                           r"conv2d: stride must be a pair of integers >= 1, got \(True, 1\)"),
     "conv2d 1-tuple stride": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), stride=(1,)),
-                              r"conv2d: stride must be a pair of integers, got \(1,\)"),
+                              r"conv2d: stride must be a pair of integers >= 1, got \(1,\)"),
     "conv2d float padding": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), padding=(0.5, 0)),
-                             r"conv2d: padding must be a pair of integers, got \(0\.5, 0\)"),
+                             r"conv2d: padding must be a pair of integers >= 0, got \(0\.5, 0\)"),
     "conv2d int padding": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), padding=3),
-                           r"conv2d: padding must be a pair of integers, got 3"),
+                           r"conv2d: padding must be a pair of integers >= 0, got 3"),
     "conv2d float groups": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), groups=1.0),
-                            r"conv2d: groups must be an integer, got 1\.0"),
+                            r"conv2d: groups must be an integer dividing 4 in and 6 out channels, got 1\.0"),
     "avg_pool2d_excl float k": (lambda: avg_pool2d_excl(rnd((1, 2, 5, 5)), 3.0),
                                 r"avg_pool2d_excl: pool size must be a positive odd integer, got 3\.0"),
     "avg_pool2d_excl bool k": (lambda: avg_pool2d_excl(rnd((1, 2, 5, 5)), True),
                                r"avg_pool2d_excl: pool size must be a positive odd integer, got True"),
     "narrow float start": (lambda: narrow(rnd((2, 3)), 1, 0.5, 1),
-                           r"narrow: axis, start and length must be integers, got 1, 0\.5, 1"),
-    "narrow axis past ndim": (lambda: narrow(rnd((2, 3)), 9, 0, 1), r"narrow: axis 9 out of range for a 2-D input"),
+                           r"narrow: start and length must be integers, got 0\.5, 1"),
+    "narrow axis past ndim": (lambda: narrow(rnd((2, 3)), 9, 0, 1),
+                              r"narrow: axis 9 is not an integer axis of a 2-D input"),
     "residual_add broadcast x": (lambda: residual_add(rnd((1, 2, 3, 3)), rnd((2, 2, 3, 3))),
                                  r"residual_add: x shape \(1, 2, 3, 3\) does not match h shape \(2, 2, 3, 3\)"),
     "residual_add scale length": (lambda: residual_add(None, rnd((1, 2, 3, 3)), rnd((3,))),
-                                  r"residual_add: scale shape \(3,\) is not \(C,\) for h of shape \(1, 2, 3, 3\)"),
+                                  r"residual_add: scale shape \(3,\) is not \(C,\), C = \(1, 2, 3, 3\)\[1\]"),
     "affine_norm f64 beta": (lambda: affine_norm(rnd((1, 2, 3, 3), dtype="f32"), rnd((2,), dtype="f32"), rnd((2,)),
                                                  1, 1e-5),
-                             r"affine_norm: dtype mismatch float32 vs float64"),
+                             r"affine_norm: beta dtype float64 does not match float32"),
     "affine_norm gamma length": (lambda: affine_norm(rnd((1, 2, 3, 3)), rnd((3,)), rnd((3,)), 1, 1e-5),
-                                 r"affine_norm: gamma \(3,\) and beta \(3,\) must be \(C,\) "
-                                 r"for x of shape \(1, 2, 3, 3\)"),
+                                 r"affine_norm: gamma shape \(3,\) is not \(C,\), C = \(1, 2, 3, 3\)\[1\]"),
     "affine_norm 2-D beta": (lambda: affine_norm(rnd((1, 2, 3, 3)), rnd((2,)), rnd((2, 1)), 1, 1e-5),
-                             r"affine_norm: gamma \(2,\) and beta \(2, 1\) must be \(C,\)"),
+                             r"affine_norm: beta shape \(2, 1\) is not \(C,\)"),
     "residual_add mask": (lambda: residual_add(None, rnd((2, 2, 3, 3)), mask=np.ones((3, 1, 1, 1))),
                           r"residual_add: mask shape \(3, 1, 1, 1\) does not broadcast to h shape \(2, 2, 3, 3\)"),
     "residual_add mask of more dims": (lambda: residual_add(None, rnd((2, 3)), mask=np.ones((1, 2, 3))),
                                        r"residual_add: mask shape \(1, 2, 3\) does not broadcast to h shape \(2, 3\)"),
     "affine_norm axis past ndim": (lambda: affine_norm(rnd((1, 2, 3, 3)), rnd((2,)), rnd((2,)), (1, 4), 1e-5),
-                                   r"affine_norm: axes \(1, 4\) out of range for a 4-D input"),
+                                   r"affine_norm: axis 4 is not an integer axis of a 4-D input"),
     "affine_norm axis below -ndim": (lambda: affine_norm(rnd((1, 2, 3, 3)), rnd((2,)), rnd((2,)), -5, 1e-5),
-                                     r"affine_norm: axes -5 out of range for a 4-D input"),
+                                     r"affine_norm: axis -5 is not an integer axis of a 4-D input"),
     "f64 data overflowing f32": (lambda: Tensor([1.0, 1e300], dtype="f32"),
                                  r"^Tensor: float64 value 1e\+300 overflows float32 to infinity$"),
     "complex data": (lambda: Tensor(np.array([1 + 2j])), r"^Tensor: data must be real numbers, got complex128 data$"),
@@ -319,17 +319,48 @@ OP_REFUSALS = {
     "reshape element count": (lambda: rnd((2, 3)).reshape(4, 2),
                               r"^reshape: cannot reshape \(2, 3\) \(6 elements\) to \(4, 2\)$"),
     "swapaxes axis past ndim": (lambda: rnd((2, 3)).swapaxes(0, 2),
-                                r"^swapaxes: 0 and 2 must be integer axes of a 2-D input$"),
+                                r"^swapaxes: axis 2 is not an integer axis of a 2-D input$"),
     "sum axis past ndim": (lambda: rnd((2, 3)).sum(axis=2),
-                           r"^tensor_sum: axis 2 must be an integer axis, or a tuple of them, of a 2-D input$"),
+                           r"^tensor_sum: axis 2 is not an integer axis of a 2-D input$"),
     "mean axis below -ndim": (lambda: rnd((2, 3)).mean(axis=(0, -3)),
-                              r"^tensor_mean: axis \(0, -3\) must be an integer axis, or a tuple of them, "
-                              r"of a 2-D input$"),
+                              r"^tensor_mean: axis -3 is not an integer axis of a 2-D input$"),
     "reshape float entry": (lambda: rnd((2, 3)).reshape(2.5, 2), r"^reshape: shape \(2\.5, 2\) must be integers$"),
     "sum axis twice": (lambda: rnd((2, 3)).sum(axis=(0, 0)),
                        r"^tensor_sum: axis \(0, 0\) names an axis of a 2-D input twice$"),
     "mean axis twice": (lambda: rnd((2, 3)).mean(axis=(1, -1)),
                         r"^tensor_mean: axis \(1, -1\) names an axis of a 2-D input twice$"),
+    "affine_norm axis twice": (lambda: affine_norm(rnd((1, 2, 3, 3)), rnd((2,)), rnd((2,)), (1, 1), 1e-5),
+                               r"^affine_norm: axis \(1, 1\) names an axis of a 4-D input twice$"),
+    "affine_norm axis twice, once negative": (lambda: affine_norm(rnd((1, 2, 3, 3)), rnd((2,)), rnd((2,)), (1, -3),
+                                                                  1e-5),
+                                              r"^affine_norm: axis \(1, -3\) names an axis of a 4-D input twice$"),
+    "f32 add of a float overflowing f32": (lambda: rnd((2,), dtype="f32") + 1e300,
+                                           r"^add: float64 value 1e\+300 overflows float32 to infinity$"),
+    "f32 mul by an array overflowing f32": (lambda: rnd((2,), dtype="f32") * np.array([1e300, 1.0]),
+                                            r"^mul: float64 value 1e\+300 overflows float32 to infinity$"),
+    "conv2d ndarray bias": (lambda: conv2d(rnd((1, 4, 5, 5)), rnd((6, 4, 3, 3)), np.ones(6)),
+                            r"^conv2d: bias must be a Tensor, got a ndarray$"),
+    "residual_add ndarray scale": (lambda: residual_add(None, rnd((1, 2, 3, 3)), np.ones(2)),
+                                   r"^residual_add: scale must be a Tensor, got a ndarray$"),
+    "affine_norm ndarray gamma": (lambda: affine_norm(rnd((1, 2, 3, 3)), np.ones(2), rnd((2,)), 1, 1e-5),
+                                  r"^affine_norm: gamma must be a Tensor, got a ndarray$"),
+    "softmax_lastdim empty last axis": (lambda: softmax_lastdim(rnd((2, 0))),
+                                        r"^softmax_lastdim: the last axis of shape \(2, 0\) is empty$"),
+    "log_softmax_lastdim empty last axis": (lambda: log_softmax_lastdim(rnd((3, 0))),
+                                            r"^log_softmax_lastdim: the last axis of shape \(3, 0\) is empty$"),
+    "softmax_lastdim 0-D": (lambda: softmax_lastdim(Tensor(1.0)),
+                            r"^softmax_lastdim: axis -1 is not an integer axis of a 0-D input$"),
+    "sum keepdims None": (lambda: rnd((2, 3)).sum(keepdims=None), r"^tensor_sum: keepdims must be a bool, got None$"),
+    "mean keepdims string": (lambda: rnd((2, 3)).mean(axis=1, keepdims="x"),
+                             r"^tensor_mean: keepdims must be a bool, got 'x'$"),
+    "ragged data": (lambda: Tensor([[1], [1, 2]]), r"^Tensor: data is not a rectangular array$"),
+    "matmul ndarray operand": (lambda: matmul(rnd((2, 3)), np.ones((3, 2))),
+                               r"^matmul: b must be a Tensor, got a ndarray$"),
+    "affine_norm eps overflowing f32": (lambda: affine_norm(rnd((1, 2, 3, 3), dtype="f32"), rnd((2,), dtype="f32"),
+                                                            rnd((2,), dtype="f32"), 1, 1e300),
+                                        r"^affine_norm: float64 value 1e\+300 overflows float32 to infinity$"),
+    "residual_add mask overflowing f32": (lambda: residual_add(None, rnd((2, 3), dtype="f32"), mask=np.full(3, 1e300)),
+                                          r"^residual_add: float64 value 1e\+300 overflows float32 to infinity$"),
 }
 
 
@@ -347,6 +378,16 @@ def test_narrowing_keeps_non_finite_values_and_a_same_dtype_tensor_takes_its_arr
     assert got[0] == np.inf and got[1] == -np.inf and np.isnan(got[2]) and got[3] == 0.0 and got[4] == np.float32(3e38)
     x = np.ones((2, 3), np.float32)
     assert Tensor(x[1:], dtype="f32").data.base is x
+
+
+def test_empty_norm_input_and_0d_residual_give_results_of_their_shape_and_dtype():
+    out, mu, var = affine_norm(Tensor(np.zeros((0, 2))), rnd((2,)), rnd((2,)), 1, 1e-5)
+    assert out.shape == (0, 2) and mu.shape == var.shape == (0, 1)
+    got = residual_add(Tensor(1.0), Tensor(2.0), mask=np.array(0.5))
+    assert got.shape == () and float(got.data) == 2.0
+    h = rnd((2, 3), dtype="f32")
+    got = residual_add(None, h, mask=np.array([[2.0], [0.0]]))  # an f64 mask is cast to h's dtype, as an operand is
+    assert got.dtype == np.float32 and got.data.tobytes() == (h.data * np.float32([[2.0], [0.0]])).tobytes()
 
 
 def test_integer_and_bool_data_become_f64():
